@@ -37,21 +37,17 @@ func main() {
 	benchmarks := flag.String("benchmarks", "all", "comma-separated Table 2 benchmark names, or 'all'")
 	seed := flag.Uint64("seed", 2020, "base seed for run-to-run variation")
 	par := flag.Int("parallel", 0, "worker goroutines for samples: 0 = auto (NVSIM_PARALLEL or GOMAXPROCS), 1 = sequential")
-	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+"); see -list-profiles")
-	listProfiles := flag.Bool("list-profiles", false, "list registered calibration profiles and exit")
+	profName := profile.Flag()
+	listProfiles := profile.ListFlag()
 	flag.Parse()
 	if *listProfiles {
-		printProfiles()
+		profile.PrintAll(os.Stdout)
 		return
 	}
 	if *par < 0 {
 		fatalf("-parallel must be >= 0")
 	}
-	prof, err := profile.Resolve(*profName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvartifact: %v\n", err)
-		os.Exit(2)
-	}
+	prof := profile.MustResolve("nvartifact", *profName)
 
 	depth := map[string]int{"L0": 0, "L1": 1, "L2": 2, "L3": 3}
 	d, ok := depth[*level]
@@ -175,19 +171,6 @@ func oneSample(spec experiment.Spec, depth int, p workload.Profile, seed uint64)
 		return 0, err
 	}
 	return res.Score, nil
-}
-
-// printProfiles lists the registered calibration profiles — name,
-// description and anchor set — sorted by name (profile.All's order), so the
-// listing is deterministic.
-func printProfiles() {
-	for _, p := range profile.All() {
-		marker := ""
-		if p.Name == profile.DefaultName {
-			marker = " (default)"
-		}
-		fmt.Printf("%s%s\n  %s\n  anchors: %s\n", p.Name, marker, p.Description, p.AnchorString())
-	}
 }
 
 func fatalf(format string, args ...any) {

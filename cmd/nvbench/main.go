@@ -28,23 +28,19 @@ func main() {
 	exp := flag.String("experiment", "", "regenerate a named experiment (migration | depth | breakdown | stages | stages-sweep | workload-stages | storms | latency)")
 	all := flag.Bool("all", false, "regenerate everything")
 	par := flag.Int("parallel", 0, "worker goroutines for experiment cells: 0 = auto (NVSIM_PARALLEL or GOMAXPROCS), 1 = sequential")
-	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+"); see -list-profiles")
-	listProfiles := flag.Bool("list-profiles", false, "list registered calibration profiles and exit")
+	profName := profile.Flag()
+	listProfiles := profile.ListFlag()
 	flag.StringVar(&format, "format", "table", "figure output format: table | chart | csv")
 	flag.Parse()
 	if *listProfiles {
-		printProfiles()
+		profile.PrintAll(os.Stdout)
 		return
 	}
 	if *par < 0 {
 		fatalf("-parallel must be >= 0")
 	}
 	experiment.SetParallelism(*par)
-	prof, err := profile.Resolve(*profName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvbench: %v\n", err)
-		os.Exit(2)
-	}
+	prof := profile.MustResolve("nvbench", *profName)
 	experiment.SetDefaultProfile(prof.Name)
 	switch format {
 	case "table", "chart", "csv":
@@ -236,19 +232,6 @@ func migration() (string, error) {
 		return "", err
 	}
 	return experiment.FormatMigration(rows), nil
-}
-
-// printProfiles lists the registered calibration profiles — name,
-// description and anchor set — sorted by name (profile.All's order), so the
-// listing is deterministic.
-func printProfiles() {
-	for _, p := range profile.All() {
-		marker := ""
-		if p.Name == profile.DefaultName {
-			marker = " (default)"
-		}
-		fmt.Printf("%s%s\n  %s\n  anchors: %s\n", p.Name, marker, p.Description, p.AnchorString())
-	}
 }
 
 func fatalf(format string, args ...any) {

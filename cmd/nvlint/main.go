@@ -2,8 +2,8 @@
 // determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
 // no-panic engine code, the Op by-value contract, and the v2 pipeline
 // contracts (plan-cache generation soundness, begin/settle pairing,
-// interceptor claim discipline, mirrored-constant parity). It prints one
-// file:line finding per violation and exits nonzero if any are active.
+// interceptor claim discipline). It prints one file:line finding per
+// violation and exits nonzero if any are active.
 //
 // Usage:
 //

@@ -85,14 +85,10 @@ type HotBench struct {
 func main() {
 	out := flag.String("o", "BENCH_10.json", "output path for the benchmark artifact")
 	compare := flag.String("compare", "", "baseline artifact to gate against instead of writing one")
-	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
+	profName := profile.Flag()
 	flag.Parse()
 
-	prof, err := profile.Resolve(*profName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvperf:", err)
-		os.Exit(2)
-	}
+	prof := profile.MustResolve("nvperf", *profName)
 	experiment.SetDefaultProfile(prof.Name)
 
 	a := Artifact{Schema: "nvperf/bench-v4", Profile: prof.Name}
@@ -299,7 +295,7 @@ func collectFigures(a *Artifact) error {
 // host: single-level host emulation, the L2/L3 forwarding path in both plan
 // modes (uncached live recursion vs steady-state replay of the compiled
 // plan), an interceptor-claimed exit (DVH doorbell), and the delivery paths
-// the delivery-plan cache serves — timer injection and assigned-device IRQ
+// the plan cache's delivery kinds serve — timer injection and assigned-device IRQ
 // cascades — in the same two modes. Each case drives a boundary entry point
 // through a prebuilt stack, so allocs/op is the engine's own allocation count
 // — the number the 0 allocs/op contract pins. The uncached/replayed pairs

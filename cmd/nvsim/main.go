@@ -26,14 +26,10 @@ func main() {
 	txns := flag.Int("txns", 2000, "transactions to simulate")
 	stats := flag.Bool("stats", false, "dump exit accounting after the run")
 	breakdown := flag.Bool("breakdown", false, "print per-mechanism cycle attribution and latency percentiles")
-	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
+	profName := profile.Flag()
 	flag.Parse()
 
-	prof, err := profile.Resolve(*profName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvsim: %v\n", err)
-		os.Exit(2)
-	}
+	prof := profile.MustResolve("nvsim", *profName)
 	spec := experiment.Spec{Depth: *depth, Profile: prof.Name}
 	switch strings.ToLower(*ioName) {
 	case "paravirt":

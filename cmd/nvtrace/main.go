@@ -26,14 +26,10 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print the per-exit timeline, indented by handler level")
 	stages := flag.Bool("stages", false, "print per-stage cycle attribution and latency histograms")
 	ring := flag.Int("ring", 4096, "timeline ring-buffer capacity (exits retained)")
-	profName := flag.String("profile", "", "calibration profile (default $NVSIM_PROFILE, then "+profile.DefaultName+")")
+	profName := profile.Flag()
 	flag.Parse()
 
-	prof, err := profile.Resolve(*profName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvtrace: %v\n", err)
-		os.Exit(2)
-	}
+	prof := profile.MustResolve("nvtrace", *profName)
 
 	var m workload.Micro
 	switch *micro {

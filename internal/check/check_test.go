@@ -3,6 +3,7 @@ package check_test
 import (
 	"testing"
 
+	"repro/internal/apic"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -266,5 +267,34 @@ func TestRandomCellsZeroViolations(t *testing.T) {
 		st, c := buildChecked(t, spec)
 		drive(t, st, 40+rng.Intn(80), profiles[rng.Intn(len(profiles))])
 		finish(t, spec, c)
+	}
+}
+
+// TestDisableVirtualIPIsAtL2 turns virtual IPIs off at the L2 guest
+// hypervisor of a depth-3 DVH stack. L3 IPIs then forward to L2, whose own
+// ICR write exits from the L2 VM — which still runs virtual IPIs, so it
+// needs a published VCIMT of its own. Every IPI must succeed and the run
+// must stay violation-free, with the plan cache on and off alike.
+func TestDisableVirtualIPIsAtL2(t *testing.T) {
+	var costs [2][]sim.Cycles
+	for i, cache := range []bool{true, false} {
+		spec := experiment.Spec{Depth: 3, IO: experiment.IODVH}
+		st, c := buildChecked(t, spec)
+		st.World.SetPlanCache(cache)
+		st.DVH.DisableAt(st.VMs[1].GuestHyp, core.FeatureVirtualIPIs)
+		for n := 0; n < 4; n++ {
+			cost, err := st.World.Execute(st.Target.VCPUs[0], hyper.SendIPI(1, apic.VectorReschedule))
+			if err != nil {
+				t.Fatalf("cache=%v: L3 SendIPI after DisableAt: %v", cache, err)
+			}
+			costs[i] = append(costs[i], cost)
+		}
+		drive(t, st, 60, workload.Profiles()[0])
+		finish(t, spec, c)
+	}
+	for n := range costs[0] {
+		if costs[0][n] != costs[1][n] {
+			t.Errorf("IPI %d: cached cost %v != live cost %v", n, costs[0][n], costs[1][n])
+		}
 	}
 }

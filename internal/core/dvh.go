@@ -88,7 +88,7 @@ const InterceptPriority = 100
 // Enable activates DVH on a world: the host advertises the DVH capability
 // bits as if they were hardware features and registers itself on the world's
 // nested-exit interceptor chain. The caps change goes through SetHostCaps so
-// the capability generation moves and compiled forward plans recompile.
+// the capability generation moves and compiled plans recompile.
 // Registration fails if an interceptor named "dvh" is already present —
 // enabling DVH twice on one world is a setup bug, not a benign no-op.
 func Enable(w *hyper.World, f Features) (*DVH, error) {
@@ -171,8 +171,16 @@ func (d *DVH) ConfigureVM(vm *hyper.VM) error {
 	}
 	d.configureControls(vm)
 
-	if d.enabledThroughStack(vm, FeatureVirtualIPIs) {
-		if _, err := d.buildVCIMT(vm); err != nil {
+	// configureControls enables virtual IPIs on every nested VM of the
+	// chain, not just the target, so each of them needs its own published
+	// VCIMT: the target's first, then the intermediate VMs down to L2.
+	chain := stackVMs(vm)
+	for i := len(chain) - 1; i >= 0 && chain[i].Level >= 2; i-- {
+		cur := chain[i]
+		if _, built := d.vcimts[cur]; built || !d.enabledThroughStack(cur, FeatureVirtualIPIs) {
+			continue
+		}
+		if _, err := d.buildVCIMT(cur); err != nil {
 			return err
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // a trapping guest operation to a settled transaction — fast-path, intercept
 // (pipeline.go), route, and emulate-or-forward. The forwarding recursion that
 // makes exit multiplication an emergent property lives in plan.go, where it
-// doubles as the compiler for the forward-plan replay cache.
+// doubles as the compiler for the plan replay cache.
 
 // reasonFor maps an operation to its VM-exit reason.
 func reasonFor(op Op) vmx.ExitReason {
@@ -65,13 +65,18 @@ func (w *World) dispatch(tx *ExitContext) error {
 	stats.ChargeLevel(0, w.Costs.HwExit)
 
 	stack, err := w.stack(tx.V)
+	if err == nil {
+		done, err = w.stageIntercept(tx)
+	}
 	if err != nil {
+		// The transaction aborts in the host after its hardware exit. The
+		// host is the level that handled (and dropped) the exit, so every
+		// hardware exit stays matched by exactly one handled exit.
+		stats.RecordHandledExit(tx.Reason, 0)
 		return err
 	}
-
-	done, err = w.stageIntercept(tx)
-	if done || err != nil {
-		return err
+	if done {
+		return nil
 	}
 
 	w.stageRoute(tx)
@@ -149,18 +154,12 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 }
 
 // stageForward reflects a guest-hypervisor-owned exit up the stack. The pure
-// cost/charge tree of the reflection (plan.go) replays from the compiled
-// forward plan in steady state — or re-runs the live recursion when the cache
-// is disabled — and the owner's side effects always run live after it.
+// cost/charge tree of the reflection (plan.go) is charged through the plan
+// cache, and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
 	tx.Stage = StageForward
 	w.Host.Machine.Stats.RecordHandledExit(tx.Reason, tx.Owner)
-	var fwd sim.Cycles
-	if w.planCacheOff {
-		fwd = w.forwardCost(stack, tx.Reason, tx.Owner, w)
-	} else {
-		fwd = w.replayForwardPlan(w.forwardPlanFor(tx.V, stack, tx.Reason, tx.Owner))
-	}
+	fwd := w.chargePath(tx.V, stack, kindForward, tx.Reason, tx.Owner, Script{})
 	eff, err := w.ownerEffects(tx.V, tx.Op, tx.Owner)
 	if err != nil {
 		return err

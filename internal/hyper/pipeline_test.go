@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -12,13 +13,18 @@ type stubInterceptor struct {
 	priority int
 	handle   bool
 	work     sim.Cycles
-	log      *[]string
+	// err, when set, aborts every exit the stub is consulted on.
+	err error
+	log *[]string
 }
 
 func (s *stubInterceptor) InterceptorInfo() (string, int) { return s.name, s.priority }
 
 func (s *stubInterceptor) TryHandle(w *World, v *VCPU, op Op) (bool, sim.Cycles, error) {
 	*s.log = append(*s.log, s.name)
+	if s.err != nil {
+		return false, 0, s.err
+	}
 	if !s.handle {
 		return false, 0, nil
 	}
@@ -56,11 +62,11 @@ func TestInterceptorChainOrderDeterministic(t *testing.T) {
 		early := &stubInterceptor{name: "early", priority: 10, log: log}
 		late := &stubInterceptor{name: "late", priority: 90, log: log}
 		if reversed {
-			mustRegister(t, w,late)
-			mustRegister(t, w,early)
+			mustRegister(t, w, late)
+			mustRegister(t, w, early)
 		} else {
-			mustRegister(t, w,early)
-			mustRegister(t, w,late)
+			mustRegister(t, w, early)
+			mustRegister(t, w, late)
 		}
 		return w, vms[1].VCPUs[0], log
 	}
@@ -83,8 +89,8 @@ func TestInterceptorChainOrderDeterministic(t *testing.T) {
 func TestInterceptorTieBreakByName(t *testing.T) {
 	w, _ := testStack(t, 2)
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "zeta", priority: 50, log: log})
-	mustRegister(t, w,&stubInterceptor{name: "alpha", priority: 50, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "zeta", priority: 50, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "alpha", priority: 50, log: log})
 	got := chainNames(w)
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Fatalf("chain order = %v, want [alpha zeta]", got)
@@ -99,9 +105,9 @@ func TestInterceptorTieBreakByName(t *testing.T) {
 func TestInterceptorHandledStopsChain(t *testing.T) {
 	w, vms := testStack(t, 2)
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "decliner", priority: 1, log: log})
-	mustRegister(t, w,&stubInterceptor{name: "handler", priority: 2, handle: true, work: 333, log: log})
-	mustRegister(t, w,&stubInterceptor{name: "shadowed", priority: 3, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "decliner", priority: 1, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "handler", priority: 2, handle: true, work: 333, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "shadowed", priority: 3, log: log})
 
 	v := vms[1].VCPUs[0]
 	c := &w.Costs
@@ -124,7 +130,7 @@ func TestInterceptorHandledStopsChain(t *testing.T) {
 func TestInterceptorSkippedAtLevel1(t *testing.T) {
 	w, vms := testStack(t, 1)
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "stub", priority: 1, handle: true, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "stub", priority: 1, handle: true, log: log})
 	exec(t, w, vms[0].VCPUs[0], Hypercall())
 	if len(*log) != 0 {
 		t.Errorf("interceptor consulted for a level-1 exit: %v", *log)
@@ -186,7 +192,7 @@ func TestSingleSettlePoint(t *testing.T) {
 
 	// An interceptor claim settles through the same single point.
 	log := &[]string{}
-	mustRegister(t, w,&stubInterceptor{name: "claimer", priority: 1, handle: true, work: 100, log: log})
+	mustRegister(t, w, &stubInterceptor{name: "claimer", priority: 1, handle: true, work: 100, log: log})
 	before := spy.begins
 	cost := exec(t, w, v, Hypercall())
 	if spy.begins != before+1 || spy.ends != spy.begins {
@@ -306,5 +312,26 @@ func TestAPICvEOICostModeled(t *testing.T) {
 	}
 	if n := w.Host.Machine.Stats.TotalHardwareExits(); n != 0 {
 		t.Errorf("EOI caused %d hardware exits, want 0", n)
+	}
+}
+
+// TestAbortAfterHardwareExitConservesExits aborts a nested exit in the
+// intercept stage, after dispatch has already recorded its hardware exit.
+// The host is the level that dropped it, so the aborted transaction must
+// still leave every hardware exit matched by one handled exit.
+func TestAbortAfterHardwareExitConservesExits(t *testing.T) {
+	w, vms := testStack(t, 2)
+	abort := errors.New("stub abort")
+	mustRegister(t, w, &stubInterceptor{name: "abort", priority: 10, err: abort, log: &[]string{}})
+	stats := w.Host.Machine.Stats
+	hw := stats.TotalHardwareExits()
+	if _, err := w.Execute(vms[1].VCPUs[0], Hypercall()); !errors.Is(err, abort) {
+		t.Fatalf("Execute error = %v, want the interceptor's abort", err)
+	}
+	if got := stats.TotalHardwareExits(); got != hw+1 {
+		t.Fatalf("aborted exit recorded %d hardware exits, want 1", got-hw)
+	}
+	if hw, handled := stats.TotalHardwareExits(), stats.TotalHandledExits(); hw != handled {
+		t.Errorf("after the abort: %d hardware exits but %d handled", hw, handled)
 	}
 }

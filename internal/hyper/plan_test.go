@@ -321,3 +321,104 @@ func TestForwardPlanReplayAllocFree(t *testing.T) {
 		t.Errorf("alloc loop replayed only %d times — not on the replay path", w.Plan.Replays)
 	}
 }
+
+// TestPlanTableForwardAndWakeRowsDisjoint interleaves forwarded HLT exits
+// and wakes on one vCPU. Both run at the same level with the same exit
+// reason (the L2 hypervisor traps the L3 HLT and owns the idle ladder), so
+// only the table's separate forward and delivery-kind rows keep their plans
+// apart: a shared slot would recompile on every alternation. After warm-up
+// nothing recompiles, and every step equals the live twin's.
+func TestPlanTableForwardAndWakeRowsDisjoint(t *testing.T) {
+	build := func(cache bool) (*World, *VCPU) {
+		w, vms := testStack(t, 3)
+		w.SetPlanCache(cache)
+		w.Tracer = trace.NewRecorder(8192)
+		return w, vms[2].VCPUs[0]
+	}
+	cw, cv := build(true)
+	lw, lv := build(false)
+	round := func(w *World, v *VCPU) [2]sim.Cycles {
+		halt := exec(t, w, v, Halt())
+		wake, err := w.WakeIfIdle(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]sim.Cycles{halt, wake}
+	}
+	if idleOwner := cw.ownerLevel(cv, Op{Kind: OpHLT}); idleOwner != 2 {
+		t.Fatalf("L3 HLT owner = L%d, want L2 — the forward and wake plans must share a level", idleOwner)
+	}
+	round(cw, cv)
+	round(lw, lv)
+	compiles, deliveryCompiles := cw.Plan.Compiles, cw.Plan.DeliveryCompiles
+	if compiles == 0 || deliveryCompiles == 0 {
+		t.Fatalf("warm-up compiled %d forward and %d delivery plans, want both > 0", compiles, deliveryCompiles)
+	}
+	for i := 0; i < 8; i++ {
+		if c, l := round(cw, cv), round(lw, lv); c != l {
+			t.Fatalf("round %d: cached (halt, wake) = %v, live = %v", i, c, l)
+		}
+	}
+	if cw.Plan.Compiles != compiles || cw.Plan.DeliveryCompiles != deliveryCompiles {
+		t.Errorf("interleaved HLT and wake recompiled: forward %d -> %d, delivery %d -> %d",
+			compiles, cw.Plan.Compiles, deliveryCompiles, cw.Plan.DeliveryCompiles)
+	}
+	if cs, ls := cw.Host.Machine.Stats, lw.Host.Machine.Stats; cs.String() != ls.String() {
+		t.Errorf("stats reports diverge:\n--- cached ---\n%s--- live ---\n%s", cs, ls)
+	}
+	if !reflect.DeepEqual(cw.Tracer.Events(), lw.Tracer.Events()) {
+		t.Errorf("trace timelines diverge:\n--- cached ---\n%s--- live ---\n%s", cw.Tracer.Timeline(), lw.Tracer.Timeline())
+	}
+}
+
+// TestPlanKindCounters checks the counter choice of every plan kind:
+// forwarded exits count in Compiles/Replays and every delivery kind in
+// DeliveryCompiles/DeliveryReplays, so the plan.* benchmark counts keep
+// their meaning. The first call compiles and replays, the second only
+// replays, and both cost what the live walk costs.
+func TestPlanKindCounters(t *testing.T) {
+	w, vms := testStack(t, 3)
+	v := vms[2].VCPUs[0]
+	stack, err := w.stack(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvm := stack[2].Personality
+	for _, tc := range []struct {
+		name     string
+		kind     planKind
+		reason   vmx.ExitReason
+		script   Script
+		stack    []*Hypervisor
+		delivery bool
+	}{
+		{"forward", kindForward, vmx.ExitVMCALL, Script{}, stack, false},
+		{"inject", kindInject, vmx.ExitExternalInterrupt, kvm.InjectScript(), stack, true},
+		{"cascade", kindCascade, vmx.ExitEPTViolation, Script{}, stack, true},
+		{"wake", kindWake, vmx.ExitHLT, Script{}, nil, true},
+		{"switch", kindSwitch, vmx.ExitReason(0), switchScript(), stack, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w.SetPlanCache(false)
+			live := w.chargePath(v, tc.stack, tc.kind, tc.reason, 2, tc.script)
+			w.SetPlanCache(true)
+			before := w.Plan
+			for i := 0; i < 2; i++ {
+				if got := w.chargePath(v, tc.stack, tc.kind, tc.reason, 2, tc.script); got != live {
+					t.Errorf("call %d: cached cost %v != live cost %v", i, got, live)
+				}
+			}
+			want := before
+			if tc.delivery {
+				want.DeliveryCompiles++
+				want.DeliveryReplays += 2
+			} else {
+				want.Compiles++
+				want.Replays += 2
+			}
+			if w.Plan != want {
+				t.Errorf("counters after two calls = %+v, want %+v", w.Plan, want)
+			}
+		})
+	}
+}

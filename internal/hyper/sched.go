@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -94,7 +93,7 @@ func switchScript() Script {
 // the incoming one loaded, and its guest state restored. The VMCS operations
 // and scheduler bookkeeping stay live; the switch's charge tree — a fixed
 // script at the switching level, exit-multiplied below it — replays a
-// compiled delivery plan in steady state.
+// compiled plan in steady state.
 func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) (sim.Cycles, error) {
 	if from.VM.Owner != to.VM.Owner {
 		return 0, fmt.Errorf("hyper: switch between vCPUs of different hypervisors (%s -> %s)", from.Path(), to.Path())
@@ -102,14 +101,9 @@ func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) (sim
 	from.VMCS.Clear()
 	to.VMCS.Load()
 	to.VMCS.CopyGuestState(from.VMCS)
-	var cost sim.Cycles
-	if w.planCacheOff || level < 1 || level >= trace.MaxLevels {
-		cost = w.scriptCost(stack, level, switchScript(), w)
-	} else {
-		// No exit reason participates in a switch; the kind, level and the
-		// (fixed) switch script are the whole key.
-		cost = w.replayDeliveryPlan(w.deliveryPlanFor(from, stack, dpSwitch, vmx.ExitReason(0), level, switchScript()))
-	}
+	// No exit reason participates in a switch; the kind, level and the
+	// (fixed) switch script are the whole key.
+	cost := w.chargePath(from, stack, kindSwitch, vmx.ExitReason(0), level, switchScript())
 	sched := stack[level].EnsureScheduler()
 	sched.Switches++
 	w.Host.Machine.Stats.Inc("sched.switches", 1)

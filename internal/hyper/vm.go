@@ -128,9 +128,9 @@ type VCPU struct {
 	stackCache []*Hypervisor
 	stackGen   uint64
 
-	// plans caches this vCPU's compiled forward plans (plan.go), one per
-	// (exit reason, owner level), valid for one (TopoGen, CostGen, CapsGen)
-	// generation triple. Lazily allocated on the first forwarded exit.
+	// plans caches this vCPU's compiled plans (plan.go), one per (exit
+	// reason or delivery kind, level), valid for one (TopoGen, CostGen,
+	// CapsGen) generation triple. Lazily allocated on the first cached call.
 	plans *planTable
 }
 
@@ -258,7 +258,7 @@ func (vm *VM) ProvideVIOMMU(posted bool) *iommu.IOMMU {
 	if vm.GuestHyp != nil {
 		vm.GuestHyp.Caps = vm.Caps
 	}
-	// Capability words shape compiled forward plans; like SetHostCaps, a
+	// Capability words shape compiled plans; like SetHostCaps, a
 	// post-setup vIOMMU grant must move CapsGen or a cached plan would
 	// replay the pre-vIOMMU exit tree.
 	vm.Owner.Machine.CapsGen++

@@ -8,10 +8,9 @@ import (
 	"repro/internal/vmx"
 )
 
-// NoPlanCacheEnv disables the plan replay caches — forward (plan.go) and
-// delivery (deliveryplan.go) — when set to anything but "" or "0": the escape
-// hatch (and A/B lever) that forces every forwarded exit and every delivery
-// path back through the live recursion. Plans are compiled from the same
+// NoPlanCacheEnv disables the plan replay cache (plan.go) when set to
+// anything but "" or "0": the escape hatch (and A/B lever) that forces every
+// forwarded exit and every delivery path back through the live walk. Plans are compiled from the same
 // recursions the live paths run, so results are byte-identical either way;
 // the env var exists so that claim stays testable, not because the modes may
 // legitimately differ.
@@ -27,13 +26,13 @@ type PlanCacheStats struct {
 	// Replays counts forwarded exits served from a compiled plan.
 	Replays uint64
 	// DeliveryCompiles counts cold walks of a delivery-path charge tree
-	// (guestPath injection, RX cascade, wake ladder, scheduler switch).
+	// (interrupt injection, RX cascade, wake ladder, scheduler switch).
 	DeliveryCompiles uint64
 	// DeliveryReplays counts delivery paths served from a compiled plan.
 	DeliveryReplays uint64
 	// Invalidations counts plan-table flushes caused by a moved topology,
-	// cost-model or capability generation. Forward and delivery slots share
-	// tables, so a flush invalidates both at once.
+	// cost-model or capability generation. Forward and delivery plans share
+	// one table, so a flush invalidates both at once.
 	Invalidations uint64
 }
 
@@ -73,8 +72,8 @@ type World struct {
 	// (timer firing), where no Execute caller exists to receive it. Sticky;
 	// read it with AsyncErr after draining the engine.
 	asyncErr error
-	// planCacheOff disables forward- and delivery-plan replay (see
-	// NoPlanCacheEnv and SetPlanCache); the default is cache on.
+	// planCacheOff disables plan replay (see NoPlanCacheEnv and
+	// SetPlanCache); the default is cache on. Only chargePath reads it.
 	planCacheOff bool
 	// Plan counts plan-cache activity (compiles, replays, invalidations)
 	// for tests and diagnostics.
@@ -94,7 +93,7 @@ func (w *World) setAsyncErr(err error) {
 }
 
 // NewWorld wraps a host hypervisor with the default cost model. The
-// forward-plan replay cache is on unless NVSIM_NOPLANCACHE is set (same
+// plan replay cache is on unless NVSIM_NOPLANCACHE is set (same
 // convention as NVSIM_PARALLEL: "" and "0" mean default behavior).
 func NewWorld(host *Hypervisor) *World {
 	w := &World{Host: host, Costs: DefaultCosts()}
@@ -111,9 +110,9 @@ func NewWorld(host *Hypervisor) *World {
 // plan-cache mode.
 func (w *World) AttachStageStats(ss *trace.StageStats) { w.Stages = ss }
 
-// SetPlanCache toggles the forward- and delivery-plan replay caches,
-// overriding the NVSIM_NOPLANCACHE default. Intended for A/B tests; both
-// modes produce byte-identical simulation results.
+// SetPlanCache toggles the plan replay cache, overriding the
+// NVSIM_NOPLANCACHE default. Intended for A/B tests; both modes produce
+// byte-identical simulation results.
 func (w *World) SetPlanCache(on bool) { w.planCacheOff = !on }
 
 // PlanCacheEnabled reports whether forwarded exits and delivery paths replay
@@ -121,7 +120,7 @@ func (w *World) SetPlanCache(on bool) { w.planCacheOff = !on }
 func (w *World) PlanCacheEnabled() bool { return !w.planCacheOff }
 
 // SetCosts replaces the world's cost model and bumps the machine's cost
-// generation so compiled forward plans (which bake cycle costs in) are
+// generation so compiled plans (which bake cycle costs in) are
 // recompiled. Mutating w.Costs fields directly is reserved for setup before
 // the first forwarded exit; any later recalibration must go through here.
 func (w *World) SetCosts(c CostModel) {
@@ -140,7 +139,7 @@ func (w *World) SetHostCaps(caps vmx.Caps) {
 
 // SetProfile installs a calibration profile's cost model and host capability
 // word in one step, bumping BOTH the cost and the caps generation. A profile
-// swap changes the two inputs compiled forward plans bake in — per-transition
+// swap changes the two inputs compiled plans bake in — per-transition
 // cycle charges and the capability-shaped recursion structure (VMCS shadowing
 // versus full trips) — so either generation alone would leave a stale plan
 // replayable. The nvlint cachegen GenBumps contract pins both bumps.

@@ -21,7 +21,7 @@
 //
 // v2 rules (the architectural contracts of the exit pipeline):
 //
-//	cachegen     every field the forward-plan compiler reads is covered by a
+//	cachegen     every field the plan compiler reads is covered by a
 //	             generation counter (or explicitly allowlisted as a
 //	             non-input), generation setters really bump their counter,
 //	             and guarded fields are written only by their setter
@@ -31,8 +31,6 @@
 //	interceptor  Interceptor implementations return literal (name, priority)
 //	             pairs, never mutate engine state before claiming an op, and
 //	             inherit the determinism contract wherever their code lives
-//	parity       mirrored constant tables (trace.NumStages vs the hyper stage
-//	             enum, vmx.ExitReason index density) cannot drift apart
 //	directive    //nvlint comments that no longer suppress anything are
 //	             themselves flagged (reported via -unused-directives)
 package lint
@@ -55,7 +53,6 @@ const (
 	RuleCacheGen    = "cachegen"
 	RuleStageLedger = "stageledger"
 	RuleInterceptor = "interceptor"
-	RuleParity      = "parity"
 	RuleDirective   = "directive"
 )
 
@@ -88,12 +85,10 @@ type Config struct {
 	StageLedger *StageLedgerConfig
 	// Interceptor, when set, enables the interceptor-contract rule.
 	Interceptor *InterceptorConfig
-	// Parity, when set, enables the mirrored-constant parity rule.
-	Parity *ParityConfig
 }
 
-// CacheGenConfig configures the cachegen rule: the forward-plan replay cache
-// is sound only if every input the compile path reads is invalidated by a
+// CacheGenConfig configures the cachegen rule: the plan replay cache is
+// sound only if every input the compile path reads is invalidated by a
 // generation counter. The rule walks the call graph from the compile roots
 // and flags any field read of a watched type that is not in the guarded set —
 // so a new cost or capability field wired into compilation without a matching
@@ -158,17 +153,6 @@ type InterceptorConfig struct {
 	TryMethod string
 }
 
-// ParityConfig configures the parity rule over mirrored constant tables.
-type ParityConfig struct {
-	// Mirrors are pairs of constant specs ("pkg/path.Name", exported or not)
-	// whose values must be equal; drift is reported with both decl sites.
-	Mirrors [][2]string
-	// DenseEnums are [enum type, bound constant] pairs: every declared
-	// constant of the type must be distinct and inside [0, bound), so dense
-	// index tables cannot silently merge two values.
-	DenseEnums [][2]string
-}
-
 // Finding is one rule violation.
 type Finding struct {
 	// File is the path of the offending file, Line its 1-based line.
@@ -228,17 +212,16 @@ func ModuleConfig(dir string) (Config, error) {
 		mp + "/internal/trace.(*StageStats).ObserveSettled",
 	}
 	cfg.ByValueTypes = []string{mp + "/internal/hyper.Op"}
-	// cachegen: the plan replay caches (internal/hyper/plan.go and
-	// deliveryplan.go) bake compile-path reads into cached plans; every one
-	// of them must be covered by a generation counter or be provably not a
-	// plan input. The walks from compileForwardPlan and compileDeliveryPlan
-	// reach both forwardSink implementations (the live World sink and the
+	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
+	// compile-path reads into cached plans; every one of them must be
+	// covered by a generation counter or be provably not a plan input. The
+	// walk from compilePlan — the single compiler behind every plan kind —
+	// reaches both walkSink implementations (the live World sink and the
 	// recording planBuilder) and every Personality, so the allowlist names
 	// exactly the state those read.
 	cfg.CacheGen = &CacheGenConfig{
 		CompileRoots: []string{
-			mp + "/internal/hyper.(*World).compileForwardPlan",
-			mp + "/internal/hyper.(*World).compileDeliveryPlan",
+			mp + "/internal/hyper.(*World).compilePlan",
 		},
 		WatchedTypes: []string{
 			mp + "/internal/hyper.World",
@@ -299,17 +282,6 @@ func ModuleConfig(dir string) (Config, error) {
 	// claim-before-mutate contracts (internal/hyper/pipeline.go).
 	cfg.Interceptor = &InterceptorConfig{
 		Iface: mp + "/internal/hyper.Interceptor",
-	}
-	// parity: the mirrored constant tables that size trace's fixed arrays and
-	// the dense exit-reason index space.
-	cfg.Parity = &ParityConfig{
-		Mirrors: [][2]string{
-			{mp + "/internal/trace.NumStages", mp + "/internal/hyper.stageCount"},
-			{mp + "/internal/trace.NumBoundaries", mp + "/internal/hyper.boundaryCount"},
-		},
-		DenseEnums: [][2]string{
-			{mp + "/internal/vmx.ExitReason", mp + "/internal/vmx.NumReasonIndexes"},
-		},
 	}
 	return cfg, nil
 }
@@ -381,14 +353,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Interceptor != nil {
 		rules = append(rules, RuleInterceptor)
 		fs, err := checkInterceptor(prog, &cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	if cfg.Parity != nil {
-		rules = append(rules, RuleParity)
-		fs, err := checkParity(prog, &cfg)
 		if err != nil {
 			return nil, err
 		}

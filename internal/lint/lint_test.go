@@ -185,21 +185,12 @@ func interceptorTestConfig(c *Config) {
 
 func TestGoldenInterceptor(t *testing.T) { runGolden(t, "interceptor", interceptorTestConfig) }
 
-func parityTestConfig(c *Config) {
-	c.Parity = &ParityConfig{
-		Mirrors:    [][2]string{{"lintcheck/parity.NumStages", "lintcheck/parity.stageCount"}},
-		DenseEnums: [][2]string{{"lintcheck/parity.R", "lintcheck/parity.NumR"}},
-	}
-}
-
-func TestGoldenParity(t *testing.T) { runGolden(t, "parity", parityTestConfig) }
-
 // TestGoldenRequiresRule proves every // want in the v2 fixtures comes from
 // its rule: with the rule left unconfigured, the same package lints clean, so
 // disabling a rule would fail the golden test above by leaving every
 // expectation unmatched.
 func TestGoldenRequiresRule(t *testing.T) {
-	for _, name := range []string{"cachegen", "stageledger", "interceptor", "parity"} {
+	for _, name := range []string{"cachegen", "stageledger", "interceptor"} {
 		cfg := Config{
 			Dir:            filepath.Join("testdata", "src", name),
 			ModulePath:     "lintcheck/" + name,
@@ -317,7 +308,7 @@ func TestEncodeJSON(t *testing.T) {
 
 // TestModuleLintsClean is the gate the repository itself must pass: nvlint
 // over the whole module reports nothing — no findings and no stale
-// directives — with all nine rules enabled.
+// directives — with all eight rules enabled.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the full module from source")
@@ -341,7 +332,7 @@ func TestModuleLintsClean(t *testing.T) {
 	}
 	wantRules := []string{
 		RuleCacheGen, RuleDeterminism, RuleExhaustive, RuleHotAlloc,
-		RuleInterceptor, RuleNoPanic, RuleOpByValue, RuleParity, RuleStageLedger,
+		RuleInterceptor, RuleNoPanic, RuleOpByValue, RuleStageLedger,
 	}
 	if !reflect.DeepEqual(res.RulesRun, wantRules) {
 		t.Errorf("rules run = %v, want %v", res.RulesRun, wantRules)

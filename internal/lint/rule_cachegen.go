@@ -8,7 +8,7 @@ import (
 	"sort"
 )
 
-// checkCacheGen is the plan-cache soundness rule. A replayed forward plan is
+// checkCacheGen is the plan-cache soundness rule. A replayed plan is
 // only equivalent to recompiling when every input the compile path read is
 // covered by a generation counter the cache key checks. The rule makes that
 // set explicit: it walks the call graph from the compile roots (through
@@ -91,7 +91,7 @@ func checkCacheGen(prog *program, cfg *Config, g *callGraph) ([]Finding, error) 
 				return true
 			}
 			f := finding(prog, pkg, dirs, sel.Sel.Pos(), RuleCacheGen,
-				fmt.Sprintf("compile-path read of %s is not generation-guarded: a cached forward plan would bake it in with no counter to invalidate it; add a generation bump + GuardedReads entry, or move the read out of compilation", fieldSpec(owner, fld)))
+				fmt.Sprintf("compile-path read of %s is not generation-guarded: a cached plan would bake it in with no counter to invalidate it; add a generation bump + GuardedReads entry, or move the read out of compilation", fieldSpec(owner, fld)))
 			f.Chain = reached[fn]
 			out = append(out, f)
 			return true

@@ -238,7 +238,7 @@ func Resolve(name string) (Profile, error) {
 
 // Apply installs the profile on a world: cost model and host capability word
 // in one step, through World.SetProfile so both the cost and capability
-// generations move and any compiled forward plans invalidate.
+// generations move and any compiled plans invalidate.
 func Apply(w *hyper.World, p Profile) {
 	w.SetProfile(p.Costs, p.Caps)
 }

@@ -70,7 +70,7 @@ func (r *Recorder) Record(reason vmx.ExitReason, from, handler int) {
 }
 
 // RecordRun appends n identical events — the bulk form of Record the
-// forward-plan replay path uses for run-length-encoded event sequences. The
+// plan replay path uses for run-length-encoded event sequences. The
 // recorder ends in exactly the state n successive Record calls would leave
 // it in (same ring contents, sequence numbers, counts), so a replayed
 // timeline is byte-identical to a recomputed one. Runs longer than the ring

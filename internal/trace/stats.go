@@ -49,7 +49,7 @@ func (s *Stats) RecordHardwareExit(r vmx.ExitReason) {
 }
 
 // AddHardwareExits notes n physical VM exits with the same reason — the bulk
-// form RecordHardwareExit aggregates to when a compiled forward plan is
+// form RecordHardwareExit aggregates to when a compiled plan is
 // replayed. Calling it is arithmetically identical to n RecordHardwareExit
 // calls (counter addition commutes), which is what keeps replayed runs
 // byte-identical to recomputed ones.

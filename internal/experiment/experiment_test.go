@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +51,28 @@ func TestBuildShapes(t *testing.T) {
 				t.Errorf("%+v: guest hypervisor is %s", spec, st.VMs[0].GuestHyp.Personality.Name())
 			}
 		}
+	}
+}
+
+// TestBuildAllocationBudget holds one depth-3 DVH stack build under 1 MB of
+// allocation. The modeled machine has 96 GiB of RAM, a 480 GiB backing store
+// and 12-36 GiB per VM level; a build stays cheap only while their page
+// bitmaps are sparse, so a dense bitmap coming back (about 21 MB per build)
+// fails here.
+func TestBuildAllocationBudget(t *testing.T) {
+	spec := Spec{Depth: 3, IO: IODVH}
+	if _, err := Build(spec); err != nil { // warm any lazily built tables
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Build(spec); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("Build(%+v) allocated %.2f MB; budget is %.2f MB", spec, float64(got)/(1<<20), float64(budget)/(1<<20))
 	}
 }
 

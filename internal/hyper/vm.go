@@ -355,14 +355,15 @@ func (vm *VM) StopDirtyLog() { vm.dirty = nil }
 // DirtyLogActive reports whether a log is recording.
 func (vm *VM) DirtyLogActive() bool { return vm.dirty != nil }
 
-// CollectDirty drains and resets the dirty log.
+// CollectDirty drains the dirty log, returning its frames in ascending
+// order, and resets it in place.
 func (vm *VM) CollectDirty() []mem.PFN {
 	if vm.dirty == nil {
 		return nil
 	}
 	var out []mem.PFN
 	vm.dirty.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
-	vm.dirty = mem.NewBitmap(uint64(vm.NumPages))
+	vm.dirty.Reset()
 	return out
 }
 

@@ -178,16 +178,16 @@ func (as *AddressSpace) StartDirtyLog() {
 // DirtyLogActive reports whether logging is on.
 func (as *AddressSpace) DirtyLogActive() bool { return as.dirty != nil }
 
-// CollectDirty returns the dirtied frames since the last collection and
-// clears the log, the per-round step of pre-copy migration. It returns nil
-// when logging is inactive.
+// CollectDirty returns the dirtied frames since the last collection, in
+// ascending order, and clears the log in place, the per-round step of
+// pre-copy migration. It returns nil when logging is inactive.
 func (as *AddressSpace) CollectDirty() []PFN {
 	if as.dirty == nil {
 		return nil
 	}
 	var out []PFN
 	as.dirty.ForEach(func(i uint64) { out = append(out, PFN(i)) })
-	as.dirty = NewBitmap(uint64(as.npages))
+	as.dirty.Reset()
 	return out
 }
 

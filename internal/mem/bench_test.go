@@ -61,3 +61,15 @@ func BenchmarkDirtyCollect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewAddressSpace builds a space the size of the modeled 480 GiB
+// backing store: the per-space cost every stack build pays before any page
+// is written.
+func BenchmarkNewAddressSpace(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if as := NewAddressSpace("ssd", 480<<30); as.NumPages() == 0 {
+			b.Fatal("empty space")
+		}
+	}
+}

@@ -2,16 +2,28 @@ package mem
 
 import "math/bits"
 
+// chunkBits is the number of bits one lazily allocated chunk holds: 32,768
+// bits, one 4 KiB array of words. A bitmap over a 480 GiB space costs an
+// index of pointers until its first Set; afterwards only the chunks that
+// hold set bits are backed.
+const (
+	chunkBits  = 1 << 15
+	chunkWords = chunkBits / 64
+)
+
 // Bitmap is a fixed-size bit set used for dirty-page logs and allocation
-// maps. The zero value is unusable; construct with NewBitmap.
+// maps. It is sparse: storage is allocated one chunk at a time, by the first
+// Set landing in that chunk, so a bitmap over a large address space costs
+// what its set bits touch. The zero value is unusable; construct with
+// NewBitmap.
 type Bitmap struct {
-	n     uint64
-	words []uint64
+	n      uint64
+	chunks []*[chunkWords]uint64 // nil until a bit in the chunk is set
 }
 
 // NewBitmap returns a bitmap holding n bits, all clear.
 func NewBitmap(n uint64) *Bitmap {
-	return &Bitmap{n: n, words: make([]uint64, (n+63)/64)}
+	return &Bitmap{n: n, chunks: make([]*[chunkWords]uint64, (n+chunkBits-1)/chunkBits)}
 }
 
 // Len returns the bitmap's capacity in bits.
@@ -20,57 +32,102 @@ func (b *Bitmap) Len() uint64 { return b.n }
 // Set marks bit i. Out-of-range indexes are ignored so callers logging
 // against a resized space fail soft.
 func (b *Bitmap) Set(i uint64) {
-	if i < b.n {
-		b.words[i/64] |= 1 << (i % 64)
+	if i >= b.n {
+		return
 	}
+	c := b.chunks[i/chunkBits]
+	if c == nil {
+		c = new([chunkWords]uint64)
+		b.chunks[i/chunkBits] = c
+	}
+	c[i%chunkBits/64] |= 1 << (i % 64)
 }
 
 // Clear unmarks bit i.
 func (b *Bitmap) Clear(i uint64) {
 	if i < b.n {
-		b.words[i/64] &^= 1 << (i % 64)
+		if c := b.chunks[i/chunkBits]; c != nil {
+			c[i%chunkBits/64] &^= 1 << (i % 64)
+		}
 	}
 }
 
 // Test reports whether bit i is set.
 func (b *Bitmap) Test(i uint64) bool {
-	return i < b.n && b.words[i/64]&(1<<(i%64)) != 0
+	if i >= b.n {
+		return false
+	}
+	c := b.chunks[i/chunkBits]
+	return c != nil && c[i%chunkBits/64]&(1<<(i%64)) != 0
 }
 
 // Count returns the number of set bits.
 func (b *Bitmap) Count() uint64 {
-	var c uint64
-	for _, w := range b.words {
-		c += uint64(bits.OnesCount64(w))
+	var n uint64
+	for _, c := range b.chunks {
+		if c == nil {
+			continue
+		}
+		for _, w := range c {
+			n += uint64(bits.OnesCount64(w))
+		}
 	}
-	return c
+	return n
 }
 
 // ForEach calls fn for every set bit, in ascending order.
 func (b *Bitmap) ForEach(fn func(i uint64)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			fn(uint64(wi)*64 + uint64(bit))
-			w &^= 1 << bit
+	for ci, c := range b.chunks {
+		if c == nil {
+			continue
+		}
+		base := uint64(ci) * chunkBits
+		for wi, w := range c {
+			for w != 0 {
+				bit := bits.TrailingZeros64(w)
+				fn(base + uint64(wi)*64 + uint64(bit))
+				w &^= 1 << bit
+			}
 		}
 	}
 }
 
-// Reset clears every bit.
+// Reset clears every bit. Allocated chunks are zeroed in place and kept, so
+// a dirty log drained every pre-copy round reuses the chunks its working set
+// already touched.
 func (b *Bitmap) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
+	for _, c := range b.chunks {
+		if c != nil {
+			*c = [chunkWords]uint64{}
+		}
 	}
 }
 
-// Or merges other into b (bit-wise union over the common prefix).
+// Or merges other into b: the bit-wise union over the first
+// min(b.Len(), other.Len()) bits. Bits of other beyond b.Len() are dropped.
 func (b *Bitmap) Or(other *Bitmap) {
-	n := len(b.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] |= other.words[i]
+	n := min(b.n, other.n)
+	for ci, oc := range other.chunks {
+		base := uint64(ci) * chunkBits
+		if base >= n {
+			break
+		}
+		if oc == nil {
+			continue
+		}
+		lim := min(n-base, chunkBits) // bits of this chunk inside the union
+		for wi := uint64(0); wi*64 < lim; wi++ {
+			w := oc[wi]
+			if rem := lim - wi*64; rem < 64 {
+				w &= 1<<rem - 1
+			}
+			if w == 0 {
+				continue
+			}
+			if b.chunks[ci] == nil {
+				b.chunks[ci] = new([chunkWords]uint64)
+			}
+			b.chunks[ci][wi] |= w
+		}
 	}
 }

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -181,6 +183,129 @@ func TestBitmapCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBitmapOrClipsToLen is the reproducer for a union that wrote past
+// Len(): ORing a longer bitmap into a 10-bit one must not make bit 20
+// visible to Count or ForEach while Test denies it.
+func TestBitmapOrClipsToLen(t *testing.T) {
+	x := NewBitmap(64)
+	x.Set(20)
+	x.Set(3)
+	b := NewBitmap(10)
+	b.Or(x)
+	if b.Count() != 1 || !b.Test(3) || b.Test(20) {
+		t.Fatalf("Count=%d Test(3)=%v Test(20)=%v; want 1, true, false", b.Count(), b.Test(3), b.Test(20))
+	}
+	b.ForEach(func(i uint64) {
+		if i >= b.Len() {
+			t.Fatalf("ForEach yielded %d beyond Len()=%d", i, b.Len())
+		}
+	})
+}
+
+// refBitmap is the reference model a Bitmap is checked against: a set of
+// in-range indexes.
+type refBitmap struct {
+	n    uint64
+	bits map[uint64]bool
+}
+
+func (r *refBitmap) set(i uint64) {
+	if i < r.n {
+		r.bits[i] = true
+	}
+}
+
+// checkAgainstRef compares b with its reference on Count, on Test at every
+// probe index and every set index, and on ForEach's sequence, which must be
+// the reference's indexes in ascending order.
+func checkAgainstRef(t *testing.T, step string, b *Bitmap, r *refBitmap, probes []uint64) {
+	t.Helper()
+	if b.Len() != r.n {
+		t.Fatalf("%s: Len=%d, want %d", step, b.Len(), r.n)
+	}
+	if got := b.Count(); got != uint64(len(r.bits)) {
+		t.Fatalf("%s: Count=%d, want %d", step, got, len(r.bits))
+	}
+	for _, i := range probes {
+		if b.Test(i) != r.bits[i] {
+			t.Fatalf("%s: Test(%d)=%v, want %v", step, i, b.Test(i), r.bits[i])
+		}
+	}
+	var seen []uint64
+	b.ForEach(func(i uint64) { seen = append(seen, i) })
+	if len(seen) != len(r.bits) {
+		t.Fatalf("%s: ForEach yielded %d bits, want %d", step, len(seen), len(r.bits))
+	}
+	for k, i := range seen {
+		if k > 0 && i <= seen[k-1] {
+			t.Fatalf("%s: ForEach not ascending: %d after %d", step, i, seen[k-1])
+		}
+		if !r.bits[i] || !b.Test(i) {
+			t.Fatalf("%s: ForEach yielded %d, which is not set", step, i)
+		}
+	}
+}
+
+// TestBitmapMatchesReference drives random Set/Clear/Reset/Or sequences
+// against a map-backed reference, over lengths that are multiples of
+// neither 64 nor chunkBits, hammering the chunk and length boundaries.
+func TestBitmapMatchesReference(t *testing.T) {
+	lengths := []uint64{1, 10, 65, chunkBits - 1, chunkBits + 1, 2*chunkBits + 37, 3*chunkBits - 5}
+	for li, n := range lengths {
+		rng := rand.New(rand.NewSource(int64(li) + 1))
+		// The Or operand has a different length: shorter for even cases,
+		// longer for odd ones.
+		on := n/2 + 3
+		if li%2 == 1 {
+			on = n + chunkBits + 7
+		}
+		probes := []uint64{0, 63, 64, chunkBits - 1, chunkBits, chunkBits + 1, n - 1, n, n + 1, on - 1, on}
+		pick := func() uint64 {
+			if rng.Intn(2) == 0 {
+				return probes[rng.Intn(len(probes))]
+			}
+			return uint64(rng.Int63n(int64(n + 70)))
+		}
+		b, r := NewBitmap(n), &refBitmap{n: n, bits: map[uint64]bool{}}
+		for step := 0; step < 400; step++ {
+			var op string
+			switch k := rng.Intn(20); {
+			case k < 12:
+				i := pick()
+				op = fmt.Sprintf("Set(%d)", i)
+				b.Set(i)
+				r.set(i)
+			case k < 17:
+				i := pick()
+				op = fmt.Sprintf("Clear(%d)", i)
+				b.Clear(i)
+				delete(r.bits, i)
+			case k < 18:
+				op = "Reset"
+				b.Reset()
+				r.bits = map[uint64]bool{}
+			default:
+				o, or := NewBitmap(on), &refBitmap{n: on, bits: map[uint64]bool{}}
+				for j := 0; j < 8; j++ {
+					i := probes[rng.Intn(len(probes))]
+					if j%2 == 1 {
+						i = uint64(rng.Int63n(int64(on + 70)))
+					}
+					o.Set(i)
+					or.set(i)
+				}
+				checkAgainstRef(t, fmt.Sprintf("n=%d step %d: operand", n, step), o, or, probes)
+				op = fmt.Sprintf("Or(%d bits, %d set)", on, len(or.bits))
+				b.Or(o)
+				for i := range or.bits {
+					r.set(i)
+				}
+			}
+			checkAgainstRef(t, fmt.Sprintf("n=%d step %d: %s", n, step, op), b, r, probes)
+		}
 	}
 }
 

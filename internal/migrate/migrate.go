@@ -13,6 +13,7 @@
 package migrate
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -224,25 +225,40 @@ func (p *Plan) Run() (Report, error) {
 }
 
 // collectDirty merges the guest-visible log with the DMA log exported by the
-// migration capability (when in use).
+// migration capability (when in use). Both logs drain in ascending order, so
+// the merge keeps the result ascending and drops pages both logs saw.
 func (p *Plan) collectDirty() []mem.PFN {
-	set := map[mem.PFN]bool{}
-	for _, pg := range p.VM.CollectDirty() {
-		set[pg] = true
-	}
+	out := p.VM.CollectDirty()
 	if p.UseMigrationCap {
 		for _, vp := range p.VP {
-			for _, pg := range vp.CollectDMADirty() {
-				set[pg] = true
-			}
+			out = mergePFNs(out, vp.CollectDMADirty())
 		}
 	}
-	out := make([]mem.PFN, 0, len(set))
-	for pg := range set {
-		out = append(out, pg)
-	}
-	sortPFNs(out)
 	return out
+}
+
+// mergePFNs merges two ascending page lists into one ascending list without
+// duplicates.
+func mergePFNs(a, b []mem.PFN) []mem.PFN {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]mem.PFN, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out = append(out, a[0])
+			a = a[1:]
+		case b[0] < a[0]:
+			out = append(out, b[0])
+			b = b[1:]
+		default:
+			out = append(out, a[0])
+			a, b = a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // copyPages materializes the transfer into the destination (when present)
@@ -286,27 +302,9 @@ func (p *Plan) VerifyDest() ([]mem.PFN, error) {
 		if err := dst.Read(pg.Base(), dbuf); err != nil {
 			return nil, err
 		}
-		if !equal(sbuf, dbuf) {
+		if !bytes.Equal(sbuf, dbuf) {
 			bad = append(bad, pg)
 		}
 	}
 	return bad, nil
-}
-
-func equal(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortPFNs(s []mem.PFN) {
-	// Insertion sort: dirty sets per round are small and nearly ordered.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

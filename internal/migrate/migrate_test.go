@@ -1,12 +1,14 @@
 package migrate
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/hyper"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/vmx"
 )
 
@@ -223,6 +225,22 @@ func TestTransferMath(t *testing.T) {
 	}
 	if got := o.pagesFitting(o.DowntimeLimit); got == 0 {
 		t.Fatal("downtime budget fits zero pages")
+	}
+}
+
+// TestMergePFNs checks the union of the guest-visible and DMA dirty logs:
+// ascending, each page once, whichever side is empty.
+func TestMergePFNs(t *testing.T) {
+	for _, c := range []struct{ a, b, want []mem.PFN }{
+		{nil, nil, nil},
+		{[]mem.PFN{1, 5}, nil, []mem.PFN{1, 5}},
+		{nil, []mem.PFN{2, 3}, []mem.PFN{2, 3}},
+		{[]mem.PFN{1, 4, 9}, []mem.PFN{0, 4, 7, 9, 12}, []mem.PFN{0, 1, 4, 7, 9, 12}},
+		{[]mem.PFN{3, 8}, []mem.PFN{3, 8}, []mem.PFN{3, 8}},
+	} {
+		if got := mergePFNs(c.a, c.b); !slices.Equal(got, c.want) {
+			t.Errorf("mergePFNs(%v, %v) = %v; want %v", c.a, c.b, got, c.want)
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestGoldenMatrix pins the full Table 3 / Figure 7–10 result matrix to
@@ -74,6 +78,14 @@ func TestGoldenMatrix(t *testing.T) {
 			}
 			return FormatWorkloadStageBreakdown(rows), nil
 		}},
+		{"breakdown.golden", func() (string, error) {
+			rows, err := Breakdown()
+			if err != nil {
+				return "", err
+			}
+			return FormatBreakdown(rows), nil
+		}},
+		{"stats.golden", renderRunForStats},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -98,4 +110,36 @@ func TestGoldenMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// renderRunForStats pins the machine's Stats report — exits by reason and
+// level, cycle attribution and named counters — after a fixed RunFor span of
+// every Table 2 mix on the nested paravirtual, DVH-VP and DVH stacks. Unlike
+// the figure fixtures, RunFor advances the event engine, so timer
+// expirations, direct deliveries and wakes all reach the counters.
+func renderRunForStats() (string, error) {
+	const span = 20_000_000
+	specs := []Spec{
+		{Depth: 2, IO: IOParavirt},
+		{Depth: 2, IO: IODVH},
+		{Depth: 3, IO: IODVH},
+		{Depth: 2, IO: IODVHVP},
+	}
+	var b strings.Builder
+	for _, spec := range specs {
+		for _, p := range workload.Profiles() {
+			st, err := Build(spec)
+			if err != nil {
+				return "", err
+			}
+			r := workload.Runner{W: st.World, VM: st.Target, Net: st.Net, Blk: st.Blk, P: p}
+			res, err := r.RunFor(span)
+			if err != nil {
+				return "", fmt.Errorf("%s on L%d %v: %w", p.Name, spec.Depth, spec.IO, err)
+			}
+			fmt.Fprintf(&b, "== L%d %v %s: %d txns\n", spec.Depth, spec.IO, p.Name, res.Transactions)
+			b.WriteString(st.Machine.Stats.String())
+		}
+	}
+	return b.String(), nil
 }

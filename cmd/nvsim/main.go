@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/experiment"
@@ -87,14 +86,12 @@ func main() {
 		if *breakdown {
 			fmt.Printf("  latency/txn: p50<=%v p99<=%v max=%v cycles\n",
 				res.Latency.Quantile(0.50), res.Latency.Quantile(0.99), res.Latency.Max())
-			var keys []string
-			for k := range res.Breakdown {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				perTxn := float64(res.Breakdown[k]) / float64(res.Transactions)
-				fmt.Printf("  %-8s %12.0f cycles/txn\n", k, perTxn)
+			// OpClass constants are declared in name order.
+			for c, cycles := range res.Breakdown {
+				if cycles > 0 {
+					perTxn := float64(cycles) / float64(res.Transactions)
+					fmt.Printf("  %-8v %12.0f cycles/txn\n", workload.OpClass(c), perTxn)
+				}
 			}
 		}
 	}

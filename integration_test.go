@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hyper"
 	"repro/internal/mem"
+	"repro/internal/trace"
 	"repro/internal/virtio"
 	"repro/internal/workload"
 )
@@ -214,8 +215,8 @@ func TestEndToEndVirtualIPIAcrossVCPUs(t *testing.T) {
 	if st.Machine.Stats.GuestHypervisorExits() != 0 {
 		t.Error("virtual IPIs reached a guest hypervisor")
 	}
-	if st.Machine.Stats.Counter("dvh.vipi.sends") != uint64(len(vcpus)) {
-		t.Errorf("vIPI counter = %d", st.Machine.Stats.Counter("dvh.vipi.sends"))
+	if st.Machine.Stats.Count(trace.CounterDVHVIPISends) != uint64(len(vcpus)) {
+		t.Errorf("vIPI counter = %d", st.Machine.Stats.Count(trace.CounterDVHVIPISends))
 	}
 }
 
@@ -318,7 +319,7 @@ func TestParavirtCascadeMovesBytesThroughEveryLevel(t *testing.T) {
 	if st.Machine.NIC.TxFrames != before+1 {
 		t.Fatal("frame never reached the physical NIC")
 	}
-	if st.Machine.Stats.Counter("virtio.kicks") < 2 {
+	if st.Machine.Stats.Count(trace.CounterVirtioKicks) < 2 {
 		t.Fatal("cascade should involve both backends")
 	}
 }

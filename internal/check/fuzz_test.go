@@ -107,31 +107,23 @@ func FuzzLAPIC(f *testing.F) {
 func FuzzMergeChain(f *testing.F) {
 	f.Add(uint64(0x89ab), uint64(0x1), uint64(0xffff_ffff), uint64(3), uint64(0), uint64(42))
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g uint64) {
-		fields := []vmx.Field{
-			vmx.FieldPinBasedControls, vmx.FieldProcBasedControls,
-			vmx.FieldProcBasedControls2, vmx.FieldProcBasedControls3,
-			vmx.FieldExceptionBitmap, vmx.FieldTSCOffset, vmx.FieldVCIMTAR,
-			vmx.FieldHostRIP, vmx.FieldHostRSP, vmx.FieldHostCR3,
-			vmx.FieldGuestRIP, vmx.FieldGuestRSP, vmx.FieldGuestRFLAGS,
-			vmx.FieldGuestCR0, vmx.FieldGuestCR3, vmx.FieldGuestCR4,
-			vmx.FieldGuestInterruptibility, vmx.FieldGuestActivityState,
-		}
 		seeds := []uint64{a, b, c, d, e, g}
 		chain := make([]*vmx.VMCS, 3)
 		for i := range chain {
 			chain[i] = vmx.NewVMCS()
-			for j, fl := range fields {
+			for fl := vmx.Field(0); fl < vmx.NumFieldIndexes; fl++ {
 				// Mix the six fuzz words over the field set so every field of
 				// every VMCS gets an input-dependent value.
-				v := seeds[(i*len(fields)+j)%len(seeds)]
+				j := int(fl)
+				v := seeds[(i*int(vmx.NumFieldIndexes)+j)%len(seeds)]
 				chain[i].Write(fl, v>>(uint(j)%17)^v<<(uint(i*j)%11))
 			}
 		}
 		left := vmx.MergeChain(chain[0], chain[1], chain[2])
 		right := vmx.Merge(chain[0], vmx.Merge(chain[1], chain[2]))
-		for _, fl := range fields {
+		for fl := vmx.Field(0); fl < vmx.NumFieldIndexes; fl++ {
 			if l, r := left.Read(fl), right.Read(fl); l != r {
-				t.Fatalf("field %#x: left fold %#x != right fold %#x", uint64(fl), l, r)
+				t.Fatalf("field %#x: left fold %#x != right fold %#x", fl.Encoding(), l, r)
 			}
 		}
 	})

@@ -9,31 +9,6 @@ import (
 	"repro/internal/vmx"
 )
 
-// mergeFields is the canonical field set the end-of-run associativity check
-// compares: every field vmx.Merge produces, control and state alike. Fields
-// Merge never writes read as zero on both folds, so comparing a superset is
-// harmless.
-var mergeFields = []vmx.Field{
-	vmx.FieldPinBasedControls,
-	vmx.FieldProcBasedControls,
-	vmx.FieldProcBasedControls2,
-	vmx.FieldProcBasedControls3,
-	vmx.FieldExceptionBitmap,
-	vmx.FieldTSCOffset,
-	vmx.FieldVCIMTAR,
-	vmx.FieldHostRIP,
-	vmx.FieldHostRSP,
-	vmx.FieldHostCR3,
-	vmx.FieldGuestRIP,
-	vmx.FieldGuestRSP,
-	vmx.FieldGuestRFLAGS,
-	vmx.FieldGuestCR0,
-	vmx.FieldGuestCR3,
-	vmx.FieldGuestCR4,
-	vmx.FieldGuestInterruptibility,
-	vmx.FieldGuestActivityState,
-}
-
 // Finish runs the end-of-run sweep over the whole machine and returns Err().
 // It may be called repeatedly; each call re-sweeps current state.
 func (c *Checker) Finish() error {
@@ -124,7 +99,9 @@ func (c *Checker) checkDirtyTracking(vm *hyper.VM) {
 // nesting chain: folding outermost-in (what MergeChain does, and what an L0
 // walking down does) must equal folding innermost-out (what a guest
 // hypervisor handing a pre-merged vmcs12 up does). Chains shorter than three
-// are trivially associative and skipped.
+// are trivially associative and skipped. Every field is compared: fields
+// Merge never writes read as zero on both folds, so the superset is harmless
+// and cannot drift from the set Merge produces.
 func (c *Checker) checkMergeChain(v *hyper.VCPU) {
 	chain := vmcsChain(v)
 	if len(chain) < 3 {
@@ -132,10 +109,10 @@ func (c *Checker) checkMergeChain(v *hyper.VCPU) {
 	}
 	left := vmx.MergeChain(chain...)
 	right := foldRight(chain)
-	for _, f := range mergeFields {
+	for f := vmx.Field(0); f < vmx.NumFieldIndexes; f++ {
 		if l, r := left.Read(f), right.Read(f); l != r {
 			c.violate("merge-associativity",
-				"%s: field %#x differs between folds: left %#x, right %#x", vcpuName(v), uint64(f), l, r)
+				"%s: field %#x differs between folds: left %#x, right %#x", vcpuName(v), f.Encoding(), l, r)
 			return
 		}
 	}

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/hyper"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -247,7 +248,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 		w.ArmVirtualTimer(v, deadline)
 		work := c.DVHTimerCheckWork + sim.Cycles(levels)*c.TimerOffsetWork + c.TimerProgramWork
 		stats.ChargeLevel(0, work)
-		stats.Inc("dvh.vtimer.programs", 1)
+		stats.Inc(trace.CounterDVHVTimerPrograms, 1)
 		return true, work, nil
 
 	case hyper.OpSendIPI:
@@ -272,7 +273,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 			return false, 0, err
 		}
 		stats.ChargeLevel(0, work)
-		stats.Inc("dvh.vipi.sends", 1)
+		stats.Inc(trace.CounterDVHVIPISends, 1)
 		return true, work + wake, nil
 
 	case hyper.OpDevNotify:
@@ -299,7 +300,7 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 			return false, 0, err
 		}
 		vp.Kicks++
-		stats.Inc("dvh.vp.kicks", 1)
+		stats.Inc(trace.CounterDVHVPKicks, 1)
 		return true, work + backend, nil
 
 	default:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/hyper"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -250,7 +251,7 @@ func TestVirtualPassthroughTable3(t *testing.T) {
 	if stats.GuestHypervisorExits() != 0 {
 		t.Errorf("VP kick produced %d guest hypervisor exits", stats.GuestHypervisorExits())
 	}
-	if stats.Counter("dvh.vp.kicks") != 1 {
+	if stats.Count(trace.CounterDVHVPKicks) != 1 {
 		t.Error("VP kick not counted")
 	}
 }

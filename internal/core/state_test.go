@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apic"
 	"repro/internal/hyper"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -98,7 +99,7 @@ func TestDirectTimerDeliveryExtension(t *testing.T) {
 	if cost > 1000 {
 		t.Errorf("direct delivery cost %v; should be a posted interrupt", cost)
 	}
-	if statsWith.Counter("dvh.vtimer.direct_deliveries") != 1 {
+	if statsWith.Count(trace.CounterDVHVTimerDirectDeliveries) != 1 {
 		t.Error("direct delivery not counted")
 	}
 	if statsWith.GuestHypervisorExits() != 0 {

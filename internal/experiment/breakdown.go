@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/workload"
@@ -15,9 +14,8 @@ import (
 type BreakdownRow struct {
 	Workload string
 	Config   string
-	// PerTxn maps op class ("kick", "rx", "timer", "ipi", "idle", "eoi",
-	// "blk") to average cycles per transaction.
-	PerTxn map[string]float64
+	// PerTxn is the average cycles per transaction, indexed by op class.
+	PerTxn [workload.NumOpClasses]float64
 	// WorkCycles is the native compute per transaction, for scale.
 	WorkCycles float64
 }
@@ -42,26 +40,19 @@ func Breakdown() ([]BreakdownRow, error) {
 		if err != nil {
 			return BreakdownRow{}, fmt.Errorf("%s on %s: %w", p.Name, cfg.label, err)
 		}
-		row := BreakdownRow{
-			Workload:   p.Name,
-			Config:     cfg.label,
-			PerTxn:     make(map[string]float64, len(res.Breakdown)),
-			WorkCycles: float64(p.WorkCycles),
-		}
-		keys := make([]string, 0, len(res.Breakdown))
-		for k := range res.Breakdown {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			row.PerTxn[k] = float64(res.Breakdown[k]) / float64(res.Transactions)
+		row := BreakdownRow{Workload: p.Name, Config: cfg.label, WorkCycles: float64(p.WorkCycles)}
+		for c, cycles := range res.Breakdown {
+			row.PerTxn[c] = float64(cycles) / float64(res.Transactions)
 		}
 		return row, nil
 	})
 }
 
 // breakdownOps fixes the column order of the report.
-var breakdownOps = []string{"kick", "rx", "blk", "timer", "ipi", "idle", "eoi"}
+var breakdownOps = []workload.OpClass{
+	workload.OpClassKick, workload.OpClassRX, workload.OpClassBlk, workload.OpClassTimer,
+	workload.OpClassIPI, workload.OpClassIdle, workload.OpClassEOI,
+}
 
 // FormatBreakdown renders the attribution as cycles-per-transaction columns.
 func FormatBreakdown(rows []BreakdownRow) string {
@@ -79,13 +70,13 @@ func FormatBreakdown(rows []BreakdownRow) string {
 		fmt.Fprintf(&b, "%s (native work %v cycles/txn)\n", w, byWorkload[w][0].WorkCycles)
 		fmt.Fprintf(&b, "  %-20s", "")
 		for _, op := range breakdownOps {
-			fmt.Fprintf(&b, " %10s", op)
+			fmt.Fprintf(&b, " %10v", op)
 		}
 		b.WriteByte('\n')
 		for _, r := range byWorkload[w] {
 			fmt.Fprintf(&b, "  %-20s", r.Config)
 			for _, op := range breakdownOps {
-				if v, ok := r.PerTxn[op]; ok && v > 0 {
+				if v := r.PerTxn[op]; v > 0 {
 					fmt.Fprintf(&b, " %10.0f", v)
 				} else {
 					fmt.Fprintf(&b, " %10s", "-")
@@ -105,14 +96,4 @@ func BreakdownOf(rows []BreakdownRow, workloadName, config string) (BreakdownRow
 		}
 	}
 	return BreakdownRow{}, false
-}
-
-// sortedOps lists a row's op classes deterministically (for tests).
-func (r BreakdownRow) sortedOps() []string {
-	var out []string
-	for k := range r.PerTxn {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hyper"
 	"repro/internal/hyperv"
+	"repro/internal/trace"
 	"repro/internal/xen"
 )
 
@@ -51,7 +52,7 @@ func TestUnifiedInterceptorChainHyperV(t *testing.T) {
 	if cost != want {
 		t.Errorf("enlightened hypercall = %v cycles, want %v (direct at L0)", cost, want)
 	}
-	if n := stats.Counter("hyperv.enlightened_hypercalls"); n != 1 {
+	if n := stats.Count(trace.CounterHyperVEnlightenedHypercalls); n != 1 {
 		t.Errorf("hyperv.enlightened_hypercalls = %d, want 1", n)
 	}
 	if n := stats.GuestHypervisorExits(); n != 0 {
@@ -106,7 +107,7 @@ func TestUnifiedInterceptorChainXen(t *testing.T) {
 	if cost != want {
 		t.Errorf("evtchn IPI = %v cycles, want %v (direct delivery + wake)", cost, want)
 	}
-	if n := stats.Counter("xen.evtchn_ipis"); n != 1 {
+	if n := stats.Count(trace.CounterXenEvtchnIPIs); n != 1 {
 		t.Errorf("xen.evtchn_ipis = %d, want 1", n)
 	}
 	if dest.Idle {
@@ -154,7 +155,7 @@ func TestEnlightenmentRequiresMatchingPersonality(t *testing.T) {
 	if cost != want {
 		t.Errorf("KVM-guest hypercall with foreign enlightenments = %v, want %v (forwarded + 2 declines)", cost, want)
 	}
-	if n := st.Machine.Stats.Counter("hyperv.enlightened_hypercalls"); n != 0 {
+	if n := st.Machine.Stats.Count(trace.CounterHyperVEnlightenedHypercalls); n != 0 {
 		t.Errorf("Hyper-V enlightenment claimed a KVM guest's hypercall (%d)", n)
 	}
 	if n := core.InterceptPriority; n <= hyperv.InterceptPriority || n <= xen.InterceptPriority {

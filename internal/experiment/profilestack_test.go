@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hyper"
 	"repro/internal/profile"
+	"repro/internal/trace"
 )
 
 // withDefaultProfile installs a harness-wide default profile for the duration
@@ -138,7 +139,7 @@ func TestEnlightenedSpec(t *testing.T) {
 	if _, err := st.World.Execute(st.Target.VCPUs[0], hyper.Hypercall()); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.Machine.Stats.Counter("hyperv.enlightened_hypercalls"); n != 1 {
+	if n := st.Machine.Stats.Count(trace.CounterHyperVEnlightenedHypercalls); n != 1 {
 		t.Errorf("hyperv.enlightened_hypercalls = %d, want 1 (enlightenment not registered?)", n)
 	}
 

@@ -1,6 +1,9 @@
 package hyper
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
 
 // This file holds the virtio backend paths the pipeline's emulate, forward
 // and deliver stages share: ring processing at the providing level and the
@@ -14,7 +17,7 @@ func (w *World) backendWork(v *VCPU, dev *AssignedDevice, provider int) (sim.Cyc
 	stats := w.Host.Machine.Stats
 	cost := c.VirtioBackendWork
 	stats.ChargeLevel(provider, c.VirtioBackendWork)
-	stats.Inc("virtio.kicks", 1)
+	stats.Inc(trace.CounterVirtioKicks, 1)
 
 	// Move real bytes when rings are wired up (examples and integration
 	// tests); workload simulations kick with empty rings and pay cost only.

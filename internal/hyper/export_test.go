@@ -8,8 +8,8 @@ import "repro/internal/sim"
 // hyper_test package, which can import experiment without a cycle) can assert
 // sum(StageCost(s)) == Cost for every transaction the matrix runs.
 func (w *World) ExecuteLedger(v *VCPU, op Op) ([]sim.Cycles, sim.Cycles, error) {
-	tx := w.newTx(v, op, BoundaryExecute)
-	w.begin(&tx)
+	var tx ExitContext
+	w.begin(&tx, v, op, BoundaryExecute)
 	derr := w.dispatch(&tx)
 	cost, err := w.settle(&tx, derr)
 	ledger := make([]sim.Cycles, stageCount)

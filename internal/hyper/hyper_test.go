@@ -164,8 +164,8 @@ func TestDevNotifyL3ParavirtualCascades(t *testing.T) {
 	}
 	got := exec(t, w, vms[2].VCPUs[0], DevNotify(dev3.Doorbell))
 	within(t, "L3 DevNotify (paravirtual)", got, 700_000, 1_400_000)
-	if w.Host.Machine.Stats.Counter("virtio.kicks") != 3 {
-		t.Errorf("cascade produced %d backend kicks, want 3", w.Host.Machine.Stats.Counter("virtio.kicks"))
+	if w.Host.Machine.Stats.Count(trace.CounterVirtioKicks) != 3 {
+		t.Errorf("cascade produced %d backend kicks, want 3", w.Host.Machine.Stats.Count(trace.CounterVirtioKicks))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -19,8 +20,8 @@ import (
 // otherwise the guest hypervisor emulating the timer must run its injection
 // path first.
 func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(v, Op{}, BoundaryTimerIRQ)
-	w.begin(&tx)
+	var tx ExitContext
+	w.begin(&tx, v, Op{}, BoundaryTimerIRQ)
 	cost, err := w.deliverTimerIRQ(v)
 	tx.add(StageDeliver, cost)
 	return w.settle(&tx, err)
@@ -39,7 +40,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 		for _, it := range w.interceptors {
 			if policy, ok := it.(TimerDeliveryPolicy); ok && policy.DirectTimerDelivery(v) {
 				direct = true
-				stats.Inc("dvh.vtimer.direct_deliveries", 1)
+				stats.Inc(trace.CounterDVHVTimerDirectDeliveries, 1)
 				break
 			}
 		}
@@ -70,8 +71,8 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 // idle penalty of nested virtualization is paid on the way *into* idle (the
 // forwarded HLT exit), which is exactly what DVH virtual idle removes.
 func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(dest, Op{}, BoundaryWake)
-	w.begin(&tx)
+	var tx ExitContext
+	w.begin(&tx, dest, Op{}, BoundaryWake)
 	cost, err := w.wakeIfIdle(dest)
 	tx.add(StageDeliver, cost)
 	return w.settle(&tx, err)
@@ -82,7 +83,7 @@ func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 		return 0, nil
 	}
 	dest.Idle = false
-	w.Host.Machine.Stats.Inc("idle.wakes", 1)
+	w.Host.Machine.Stats.Inc(trace.CounterIdleWakes, 1)
 
 	// The idle-owner level is recomputed live on every wake — it depends on
 	// the stack's HLT-exiting controls, which DVH virtual idle flips without
@@ -112,8 +113,8 @@ func (w *World) wakeLadderCost(idleOwner int, sink walkSink) sim.Cycles {
 // deliver without an exit; otherwise the interrupt must be injected by the
 // hypervisor level that interposes on it.
 func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(target, Op{}, BoundaryDeviceIRQ)
-	w.begin(&tx)
+	var tx ExitContext
+	w.begin(&tx, target, Op{}, BoundaryDeviceIRQ)
 	cost, err := w.deliverDeviceIRQ(dev, target)
 	tx.add(StageDeliver, cost)
 	return w.settle(&tx, err)
@@ -123,7 +124,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	target.LAPIC.Deliver(dev.IRQ)
-	stats.Inc("irq.delivered", 1)
+	stats.Inc(trace.CounterIRQDelivered, 1)
 
 	wake, err := w.WakeIfIdle(target)
 	if err != nil {
@@ -156,8 +157,8 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 // to the target vCPU. For passthrough the data lands in VM memory directly;
 // for virtual-passthrough only the host backend runs.
 func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
-	tx := w.newTx(target, Op{}, BoundaryDeviceRX)
-	w.begin(&tx)
+	var tx ExitContext
+	w.begin(&tx, target, Op{}, BoundaryDeviceRX)
 	cost, err := w.deviceRX(dev, target)
 	tx.add(StageDeliver, cost)
 	return w.settle(&tx, err)

@@ -141,24 +141,22 @@ func (tx *ExitContext) add(s Stage, c sim.Cycles) {
 // transaction — the per-stage latency breakdown the pipeline exposes.
 func (tx *ExitContext) StageCost(s Stage) sim.Cycles { return tx.ledger[int(s)] }
 
-// newTx builds the ExitContext for one boundary entry.
-func (w *World) newTx(v *VCPU, op Op, b Boundary) ExitContext {
-	tx := ExitContext{V: v, Op: op, Boundary: b, Owner: ownerUnresolved}
+// begin opens the transaction, initialising tx in place: the caller declares
+// a zero ExitContext on its own frame and begin fills in the transaction's
+// identity, so the context is never built in one frame and copied into
+// another. This is the only place a boundary frame is opened with the
+// invariant checker: entry points never bracket themselves. The world's
+// transaction depth tracks how deeply boundaries are nested so settle can
+// tell an outermost transaction (observed by StageStats) from a nested one
+// (whose cost the enclosing ledger already holds).
+func (w *World) begin(tx *ExitContext, v *VCPU, op Op, b Boundary) {
+	tx.V, tx.Op, tx.Boundary, tx.Owner = v, op, b, ownerUnresolved
 	if v != nil {
 		tx.Level = v.VM.Level
 	}
 	if b == BoundaryExecute {
 		tx.Reason = reasonFor(op)
 	}
-	return tx
-}
-
-// begin opens the transaction. This is the only place a boundary frame is
-// opened with the invariant checker: entry points never bracket themselves.
-// The world's transaction depth tracks how deeply boundaries are nested so
-// settle can tell an outermost transaction (observed by StageStats) from a
-// nested one (whose cost the enclosing ledger already holds).
-func (w *World) begin(tx *ExitContext) {
 	w.txDepth++
 	if w.Check == nil {
 		return

@@ -226,7 +226,8 @@ func TestNestedBoundariesStack(t *testing.T) {
 // transaction total is always the sum of its stage entries.
 func TestExitContextLedger(t *testing.T) {
 	w, vms := testStack(t, 1)
-	tx := w.newTx(vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
+	var tx ExitContext
+	w.begin(&tx, vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
 	if tx.Owner != ownerUnresolved {
 		t.Fatalf("fresh transaction owner = %d, want unresolved (%d)", tx.Owner, ownerUnresolved)
 	}
@@ -254,8 +255,8 @@ func TestSettleZeroesCostOnError(t *testing.T) {
 	w, vms := testStack(t, 1)
 	spy := &spyChecker{}
 	w.Check = spy
-	tx := w.newTx(vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
-	w.begin(&tx)
+	var tx ExitContext
+	w.begin(&tx, vms[0].VCPUs[0], Hypercall(), BoundaryExecute)
 	tx.add(StageEmulate, 500)
 	wantErr := errSentinel
 	cost, err := w.settle(&tx, wantErr)

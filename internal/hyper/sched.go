@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -106,6 +107,6 @@ func (w *World) guestSwitch(stack []*Hypervisor, level int, from, to *VCPU) (sim
 	cost := w.chargePath(from, stack, kindSwitch, vmx.ExitReason(0), level, switchScript())
 	sched := stack[level].EnsureScheduler()
 	sched.Switches++
-	w.Host.Machine.Stats.Inc("sched.switches", 1)
+	w.Host.Machine.Stats.Inc(trace.CounterSchedSwitches, 1)
 	return cost, nil
 }

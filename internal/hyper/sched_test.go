@@ -1,6 +1,10 @@
 package hyper
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/trace"
+)
 
 // twoGuestStack builds an L1 hypervisor managing two nested VMs whose vCPUs
 // share pins — the multi-tenant case the virtual-idle policy is about.
@@ -65,8 +69,8 @@ func TestHLTSwitchesToSiblingNestedVM(t *testing.T) {
 	if !a.VCPUs[0].Idle {
 		t.Fatal("vCPU not idle")
 	}
-	if stats.Counter("sched.switches") != 1 {
-		t.Fatalf("sched.switches = %d, want 1", stats.Counter("sched.switches"))
+	if stats.Count(trace.CounterSchedSwitches) != 1 {
+		t.Fatalf("sched.switches = %d, want 1", stats.Count(trace.CounterSchedSwitches))
 	}
 	if gh.EnsureScheduler().Switches != 1 {
 		t.Fatal("per-scheduler switch count wrong")
@@ -88,7 +92,7 @@ func TestHLTSwitchesToSiblingNestedVM(t *testing.T) {
 func TestHLTWithNoSiblingDoesNotSwitch(t *testing.T) {
 	w, vms := testStack(t, 2)
 	exec(t, w, vms[1].VCPUs[0], Halt())
-	if w.Host.Machine.Stats.Counter("sched.switches") != 0 {
+	if w.Host.Machine.Stats.Count(trace.CounterSchedSwitches) != 0 {
 		t.Fatal("switch performed with nothing to switch to")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // stubTimerPolicy is an interceptor carrying a TimerDeliveryPolicy, for the
@@ -102,8 +103,8 @@ func TestTimerPolicySchedulerInteraction(t *testing.T) {
 			halt:     halt,
 			deliverA: deliverA,
 			deliverB: deliverB,
-			switches: stats.Counter("sched.switches"),
-			directs:  stats.Counter("dvh.vtimer.direct_deliveries"),
+			switches: stats.Count(trace.CounterSchedSwitches),
+			directs:  stats.Count(trace.CounterDVHVTimerDirectDeliveries),
 			idleA:    a.Idle,
 		}
 	}

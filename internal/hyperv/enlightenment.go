@@ -3,6 +3,7 @@ package hyperv
 import (
 	"repro/internal/hyper"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Enlightenment is the host-side (L0) half of Hyper-V's nested
@@ -49,7 +50,7 @@ func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool
 	stats := w.Host.Machine.Stats
 	work := w.Costs.EnlightenedHypercallWork
 	stats.ChargeLevel(0, work)
-	stats.Inc("hyperv.enlightened_hypercalls", 1)
+	stats.Inc(trace.CounterHyperVEnlightenedHypercalls, 1)
 	return true, work, nil
 }
 

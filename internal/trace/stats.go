@@ -1,5 +1,5 @@
 // Package trace provides the accounting layer for the simulator: per-reason
-// and per-level exit counters, cycle attribution, and named counters. Every
+// and per-level exit counters, cycle attribution, and named event counters. Every
 // hypervisor, device and DVH mechanism reports into a Stats sink so
 // experiments can show not only how long an operation took but *why* — how
 // many exits it produced, which hypervisor level handled them, and where the
@@ -9,7 +9,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -20,6 +19,54 @@ import (
 // for: L0 through L4 handlers (the paper evaluates up to L3 VMs; one level of
 // headroom keeps recursive-DVH experiments honest).
 const MaxLevels = 6
+
+// Counter names one event counter (device kicks, idle blocks, DVH direct
+// deliveries…). The set is fixed, so counters live in a dense array indexed
+// by the enum: a bump on the exit path is one add, with no hashing. The
+// constants are declared in ascending name order, which is the order String
+// reports them in; TestCounterNamesSorted keeps the two in step.
+type Counter uint8
+
+const (
+	CounterDVHVIPISends Counter = iota
+	CounterDVHVPKicks
+	CounterDVHVTimerDirectDeliveries
+	CounterDVHVTimerPrograms
+	CounterHyperVEnlightenedHypercalls
+	CounterIdleBlocks
+	CounterIdleWakes
+	CounterIRQDelivered
+	CounterPassthroughKicks
+	CounterSchedSwitches
+	CounterVirtioKicks
+	CounterXenEvtchnIPIs
+	// NumCounters sizes the per-counter tables.
+	NumCounters
+)
+
+// counterNames is each counter's report name, indexed by Counter.
+var counterNames = [NumCounters]string{
+	CounterDVHVIPISends:                "dvh.vipi.sends",
+	CounterDVHVPKicks:                  "dvh.vp.kicks",
+	CounterDVHVTimerDirectDeliveries:   "dvh.vtimer.direct_deliveries",
+	CounterDVHVTimerPrograms:           "dvh.vtimer.programs",
+	CounterHyperVEnlightenedHypercalls: "hyperv.enlightened_hypercalls",
+	CounterIdleBlocks:                  "idle.blocks",
+	CounterIdleWakes:                   "idle.wakes",
+	CounterIRQDelivered:                "irq.delivered",
+	CounterPassthroughKicks:            "passthrough.kicks",
+	CounterSchedSwitches:               "sched.switches",
+	CounterVirtioKicks:                 "virtio.kicks",
+	CounterXenEvtchnIPIs:               "xen.evtchn_ipis",
+}
+
+// String returns the counter's report name.
+func (c Counter) String() string {
+	if c < NumCounters {
+		return counterNames[c]
+	}
+	return "Counter(?)"
+}
 
 // Stats accumulates simulation accounting. The zero value is ready to use.
 // Stats is not safe for concurrent use; the simulation kernel is
@@ -40,7 +87,7 @@ type Stats struct {
 	// GuestCycles counts cycles spent doing the VM's own (useful) work.
 	GuestCycles sim.Cycles
 
-	counters map[string]uint64
+	counters [NumCounters]uint64
 }
 
 // RecordHardwareExit notes one physical VM exit to the host hypervisor.
@@ -96,27 +143,11 @@ func (s *Stats) ChargeLevel(level int, c sim.Cycles) {
 // ChargeGuest attributes cycles to useful guest work.
 func (s *Stats) ChargeGuest(c sim.Cycles) { s.GuestCycles += c }
 
-// Inc bumps a named counter (device kicks, pages dirtied, pre-copy rounds…).
-func (s *Stats) Inc(name string, delta uint64) {
-	if s.counters == nil {
-		//nvlint:ignore hotalloc lazy one-time map init; every later bump reuses it
-		s.counters = make(map[string]uint64)
-	}
-	s.counters[name] += delta
-}
+// Inc bumps an event counter.
+func (s *Stats) Inc(c Counter, delta uint64) { s.counters[c] += delta }
 
-// Counter returns a named counter's value (zero when never incremented).
-func (s *Stats) Counter(name string) uint64 { return s.counters[name] }
-
-// CounterNames returns the sorted names of all touched counters.
-func (s *Stats) CounterNames() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// Count returns an event counter's value (zero when never incremented).
+func (s *Stats) Count(c Counter) uint64 { return s.counters[c] }
 
 // TotalHardwareExits sums physical exits across all reasons.
 func (s *Stats) TotalHardwareExits() uint64 {
@@ -185,15 +216,13 @@ func (s *Stats) Merge(other *Stats) {
 		s.LevelCycles[l] += other.LevelCycles[l]
 	}
 	s.GuestCycles += other.GuestCycles
-	// Iterate the sorted names so merged state is built identically on every
-	// run (counter addition commutes, but map allocation order would not).
-	for _, n := range other.CounterNames() {
-		s.Inc(n, other.counters[n])
+	for c := range s.counters {
+		s.counters[c] += other.counters[c]
 	}
 }
 
 // String renders a human-readable report: exits by reason and handler level,
-// then cycle attribution, then named counters.
+// then cycle attribution, then the nonzero event counters in name order.
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "hardware exits: %d\n", s.TotalHardwareExits())
@@ -223,8 +252,10 @@ func (s *Stats) String() string {
 		}
 	}
 	b.WriteByte('\n')
-	for _, n := range s.CounterNames() {
-		fmt.Fprintf(&b, "  %s=%d\n", n, s.counters[n])
+	for c, n := range s.counters {
+		if n > 0 {
+			fmt.Fprintf(&b, "  %s=%d\n", Counter(c), n)
+		}
 	}
 	return b.String()
 }

@@ -55,29 +55,45 @@ func TestCycleAttribution(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	var s Stats
-	if s.Counter("kicks") != 0 {
+	if s.Count(CounterVirtioKicks) != 0 {
 		t.Fatal("untouched counter should read zero")
 	}
-	s.Inc("kicks", 2)
-	s.Inc("dirty_pages", 7)
-	s.Inc("kicks", 1)
-	if s.Counter("kicks") != 3 || s.Counter("dirty_pages") != 7 {
+	s.Inc(CounterVirtioKicks, 2)
+	s.Inc(CounterIdleBlocks, 7)
+	s.Inc(CounterVirtioKicks, 1)
+	if s.Count(CounterVirtioKicks) != 3 || s.Count(CounterIdleBlocks) != 7 {
 		t.Fatal("counter arithmetic wrong")
 	}
-	names := s.CounterNames()
-	if len(names) != 2 || names[0] != "dirty_pages" || names[1] != "kicks" {
-		t.Fatalf("CounterNames = %v", names)
+	if s.Count(CounterIdleWakes) != 0 {
+		t.Fatal("a bump leaked into another counter")
+	}
+}
+
+// TestCounterNamesSorted guards the name table String reports from: every
+// counter has a unique, non-empty name, and the enum is declared in strictly
+// ascending name order, so walking the array prints counters sorted.
+func TestCounterNamesSorted(t *testing.T) {
+	for c := Counter(0); c < NumCounters; c++ {
+		name := c.String()
+		if name == "" {
+			t.Errorf("counter %d has no name", c)
+			continue
+		}
+		if c > 0 && name <= (c-1).String() {
+			t.Errorf("counter %d %q does not sort after %q", c, name, (c - 1).String())
+		}
 	}
 }
 
 func TestMerge(t *testing.T) {
 	var a, b Stats
 	a.RecordHardwareExit(vmx.ExitHLT)
-	a.Inc("x", 1)
+	a.Inc(CounterIRQDelivered, 1)
 	a.ChargeGuest(10)
 	b.RecordHardwareExit(vmx.ExitHLT)
 	b.RecordHandledExit(vmx.ExitVMCALL, 2)
-	b.Inc("x", 4)
+	b.Inc(CounterIRQDelivered, 4)
+	b.Inc(CounterSchedSwitches, 2)
 	b.ChargeLevel(2, 30)
 	a.Merge(&b)
 	if a.TotalHardwareExits() != 2 {
@@ -86,7 +102,7 @@ func TestMerge(t *testing.T) {
 	if a.TotalHandledAt(2) != 1 {
 		t.Fatal("handled exits did not merge")
 	}
-	if a.Counter("x") != 5 {
+	if a.Count(CounterIRQDelivered) != 5 || a.Count(CounterSchedSwitches) != 2 {
 		t.Fatal("counters did not merge")
 	}
 	if a.TotalCycles() != 40 {
@@ -97,10 +113,10 @@ func TestMerge(t *testing.T) {
 func TestReset(t *testing.T) {
 	var s Stats
 	s.RecordHardwareExit(vmx.ExitHLT)
-	s.Inc("x", 1)
+	s.Inc(CounterIRQDelivered, 1)
 	s.ChargeGuest(5)
 	s.Reset()
-	if s.TotalHardwareExits() != 0 || s.Counter("x") != 0 || s.TotalCycles() != 0 {
+	if s.TotalHardwareExits() != 0 || s.Count(CounterIRQDelivered) != 0 || s.TotalCycles() != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -110,12 +126,19 @@ func TestStringReport(t *testing.T) {
 	s.RecordHardwareExit(vmx.ExitVMCALL)
 	s.RecordHandledExit(vmx.ExitVMCALL, 1)
 	s.ChargeLevel(0, 1500)
-	s.Inc("virtio.kicks", 3)
+	s.Inc(CounterVirtioKicks, 3)
+	s.Inc(CounterDVHVIPISends, 1)
 	out := s.String()
 	for _, want := range []string{"VMCALL", "L1=1", "virtio.kicks=3", "hardware exits: 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	if i, j := strings.Index(out, "dvh.vipi.sends=1"), strings.Index(out, "virtio.kicks=3"); i < 0 || i > j {
+		t.Errorf("counters not reported in name order:\n%s", out)
+	}
+	if strings.Contains(out, "idle.wakes") {
+		t.Errorf("untouched counter reported:\n%s", out)
 	}
 }
 

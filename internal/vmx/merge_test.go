@@ -101,8 +101,11 @@ func TestMergeChain(t *testing.T) {
 	if m.Read(FieldHostRIP) != 0xaaaa {
 		t.Fatal("host state must stay the real host's")
 	}
-	if len(MergeChain().fields) != 0 {
-		t.Fatal("empty chain should merge to an empty VMCS")
+	empty := MergeChain()
+	for f := Field(0); f < NumFieldIndexes; f++ {
+		if empty.Read(f) != 0 {
+			t.Fatalf("empty chain merged to a VMCS with field %#x = %#x", f.Encoding(), empty.Read(f))
+		}
 	}
 	single := MergeChain(vmcs01)
 	if single != vmcs01 {

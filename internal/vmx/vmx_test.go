@@ -139,7 +139,8 @@ func TestVMCSCopyGuestState(t *testing.T) {
 	src.Write(FieldGuestRIP, 1)
 	src.Write(FieldGuestRSP, 2)
 	src.Write(FieldGuestCR3, 3)
-	src.Write(FieldTSCOffset, 99) // not guest state; must not copy
+	src.Write(FieldTSCOffset, 99)    // not guest state; must not copy
+	dst.Write(FieldGuestCR4, 0x2000) // written only in dst; must survive
 	n := dst.CopyGuestState(src)
 	if n != 3 {
 		t.Fatalf("copied %d fields, want 3", n)
@@ -149,6 +150,71 @@ func TestVMCSCopyGuestState(t *testing.T) {
 	}
 	if dst.Read(FieldTSCOffset) != 0 {
 		t.Fatal("control field leaked into guest-state copy")
+	}
+	if dst.Read(FieldGuestCR4) != 0x2000 {
+		t.Fatal("guest field the source never wrote was overwritten")
+	}
+	// A field written with zero is still written, and copies.
+	src.Write(FieldGuestCR4, 0)
+	if n := dst.CopyGuestState(src); n != 4 || dst.Read(FieldGuestCR4) != 0 {
+		t.Fatalf("copied %d fields, CR4 = %#x; want 4 and a zeroed CR4", n, dst.Read(FieldGuestCR4))
+	}
+}
+
+// TestFieldsDense guards the dense field index a VMCS's array is sized by,
+// and pins every field's SDM encoding: each constant lies below
+// NumFieldIndexes, and Encoding is unique and equal to the appendix B value.
+func TestFieldsDense(t *testing.T) {
+	want := map[Field]uint32{
+		FieldPinBasedControls:      0x4000,
+		FieldProcBasedControls:     0x4002,
+		FieldProcBasedControls2:    0x401e,
+		FieldProcBasedControls3:    0x2034,
+		FieldExceptionBitmap:       0x4004,
+		FieldVMExitControls:        0x400c,
+		FieldVMEntryControls:       0x4012,
+		FieldVMEntryIntrInfo:       0x4016,
+		FieldTSCOffset:             0x2010,
+		FieldEPTPointer:            0x201a,
+		FieldVirtualAPICAddr:       0x2012,
+		FieldAPICAccessAddr:        0x2014,
+		FieldPostedIntrDesc:        0x2016,
+		FieldVMCSLinkPointer:       0x2800,
+		FieldVCIMTAR:               0x2036,
+		FieldVMExitReason:          0x4402,
+		FieldExitQualification:     0x6400,
+		FieldGuestLinearAddr:       0x640a,
+		FieldGuestPhysicalAddr:     0x2400,
+		FieldVMExitIntrInfo:        0x4404,
+		FieldVMInstructionInfo:     0x440e,
+		FieldGuestRIP:              0x681e,
+		FieldGuestRSP:              0x681c,
+		FieldGuestRFLAGS:           0x6820,
+		FieldGuestCR0:              0x6800,
+		FieldGuestCR3:              0x6802,
+		FieldGuestCR4:              0x6804,
+		FieldGuestInterruptibility: 0x4824,
+		FieldGuestActivityState:    0x4826,
+		FieldHostRIP:               0x6c16,
+		FieldHostRSP:               0x6c14,
+		FieldHostCR3:               0x6c02,
+	}
+	if len(want) != int(NumFieldIndexes) {
+		t.Fatalf("pinned %d fields, NumFieldIndexes is %d", len(want), NumFieldIndexes)
+	}
+	seen := map[uint32]Field{}
+	for f, enc := range want {
+		if f >= NumFieldIndexes {
+			t.Errorf("field %#x has index %d, outside [0, %d)", enc, f, NumFieldIndexes)
+			continue
+		}
+		if got := f.Encoding(); got != enc {
+			t.Errorf("field %d encodes as %#x, want %#x", f, got, enc)
+		}
+		if prev, dup := seen[f.Encoding()]; dup {
+			t.Errorf("fields %d and %d share encoding %#x", prev, f, f.Encoding())
+		}
+		seen[f.Encoding()] = f
 	}
 }
 

@@ -33,6 +33,43 @@ type Runner struct {
 	Stages *trace.StageStats
 }
 
+// OpClass is the operation class a transaction's virtualization cycles are
+// attributed to in Result.Breakdown. The set is fixed, so the breakdown is a
+// dense array indexed by the class: charging an op on the transaction path
+// is one add, with no hashing. Classes are declared in name order, the
+// order reports list them in.
+type OpClass uint8
+
+const (
+	OpClassBlk   OpClass = iota // virtio-blk kick plus its completion IRQ
+	OpClassEOI                  // end-of-interrupt write
+	OpClassIdle                 // HLT plus the wake that ends it
+	OpClassIPI                  // inter-processor interrupt sent
+	OpClassKick                 // virtio-net doorbell write
+	OpClassRX                   // inbound data arrival
+	OpClassTimer                // LAPIC TSC-deadline program
+	// NumOpClasses sizes the per-class tables.
+	NumOpClasses
+)
+
+var opClassNames = [NumOpClasses]string{
+	OpClassBlk:   "blk",
+	OpClassEOI:   "eoi",
+	OpClassIdle:  "idle",
+	OpClassIPI:   "ipi",
+	OpClassKick:  "kick",
+	OpClassRX:    "rx",
+	OpClassTimer: "timer",
+}
+
+// String returns the class's report name.
+func (c OpClass) String() string {
+	if c < NumOpClasses {
+		return opClassNames[c]
+	}
+	return "OpClass(?)"
+}
+
 // workJitterPermille bounds the ± work variation applied per transaction.
 const workJitterPermille = 30
 
@@ -56,7 +93,7 @@ type Result struct {
 	Latency trace.Histogram
 	// Breakdown attributes virtualization cycles to the operation class that
 	// spent them — the per-mechanism view behind Figure 8.
-	Breakdown map[string]sim.Cycles
+	Breakdown [NumOpClasses]sim.Cycles
 }
 
 // carry implements deterministic fractional op scheduling: an op with rate
@@ -129,7 +166,6 @@ type runState struct {
 func newRunState(r *Runner) *runState {
 	st := &runState{r: r}
 	st.res.Profile = r.P
-	st.res.Breakdown = make(map[string]sim.Cycles)
 	return st
 }
 
@@ -148,7 +184,7 @@ func (st *runState) finish(n int) Result {
 
 // transaction executes one transaction and returns its cost.
 func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
-	p := r.P
+	p := &r.P
 	res := &st.res
 	kicks, rx, timers, ipis, idles, eois, blk := &st.kicks, &st.rx, &st.timers, &st.ipis, &st.idles, &st.eois, &st.blk
 	vcpus := r.VM.VCPUs
@@ -174,7 +210,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c
-			res.Breakdown["kick"] += c
+			res.Breakdown[OpClassKick] += c
 		}
 		for k := rx.take(p.RxBatches); k > 0; k-- {
 			c, err := r.W.DeviceRX(r.Net, v)
@@ -182,7 +218,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c
-			res.Breakdown["rx"] += c
+			res.Breakdown[OpClassRX] += c
 		}
 		for k := timers.take(p.Timers); k > 0; k-- {
 			c, err := r.W.Execute(v, hyper.ProgramTimer(uint64(r.W.Host.Machine.Engine.Now())+1_000_000))
@@ -190,7 +226,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c
-			res.Breakdown["timer"] += c
+			res.Breakdown[OpClassTimer] += c
 		}
 		for k := ipis.take(p.IPIs); k > 0; k-- {
 			dest := uint32((v.ID + 1) % len(vcpus))
@@ -199,7 +235,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c
-			res.Breakdown["ipi"] += c
+			res.Breakdown[OpClassIPI] += c
 		}
 		for k := idles.take(p.Idles); k > 0; k-- {
 			c, err := r.W.Execute(v, hyper.Halt())
@@ -211,7 +247,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c + wake
-			res.Breakdown["idle"] += c + wake
+			res.Breakdown[OpClassIdle] += c + wake
 		}
 		for k := eois.take(p.EOIs); k > 0; k-- {
 			c, err := r.W.Execute(v, hyper.EOI())
@@ -219,7 +255,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c
-			res.Breakdown["eoi"] += c
+			res.Breakdown[OpClassEOI] += c
 		}
 		for k := blk.take(p.BlkOps); k > 0; k-- {
 			c, err := r.W.Execute(v, hyper.DevNotify(r.Blk.Doorbell))
@@ -231,7 +267,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 				return 0, err
 			}
 			total += c + irq
-			res.Breakdown["blk"] += c + irq
+			res.Breakdown[OpClassBlk] += c + irq
 		}
 		res.Latency.Observe(total - txnStart)
 		st.total = total

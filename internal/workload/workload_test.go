@@ -7,6 +7,7 @@ import (
 	"repro/internal/hyper"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmx"
 )
 
@@ -265,12 +266,12 @@ func TestLatencyHistogramAndBreakdown(t *testing.T) {
 	if attributed != virt {
 		t.Fatalf("breakdown sums to %v, virtualization cycles are %v", attributed, virt)
 	}
-	for _, key := range []string{"kick", "rx", "timer", "idle", "eoi"} {
-		if res.Breakdown[key] == 0 {
-			t.Errorf("breakdown missing %q cycles", key)
+	for _, c := range []OpClass{OpClassKick, OpClassRX, OpClassTimer, OpClassIdle, OpClassEOI} {
+		if res.Breakdown[c] == 0 {
+			t.Errorf("breakdown missing %v cycles", c)
 		}
 	}
-	if res.Breakdown["ipi"] != 0 {
+	if res.Breakdown[OpClassIPI] != 0 {
 		t.Error("RR profile sends no IPIs; breakdown disagrees")
 	}
 }
@@ -322,7 +323,7 @@ func TestRunForAdvancesTimeAndFiresTimers(t *testing.T) {
 	}
 	// The profile arms timers; with the clock advancing they must fire and
 	// be delivered directly (DVH direct timer delivery).
-	if w.Host.Machine.Stats.Counter("dvh.vtimer.direct_deliveries") == 0 {
+	if w.Host.Machine.Stats.Count(trace.CounterDVHVTimerDirectDeliveries) == 0 {
 		t.Fatal("no timer interrupts fired during the timed run")
 	}
 	// Throughput consistency: transactions * cycles/txn ≈ span.
@@ -366,5 +367,22 @@ func TestPhysicalCPUUtilizationAccounted(t *testing.T) {
 	}
 	if sum != res.TotalCycles {
 		t.Fatalf("per-CPU busy %v != run total %v", sum, res.TotalCycles)
+	}
+}
+
+// TestOpClassNames guards the op-class name table reports print: every class
+// has a unique, non-empty name.
+func TestOpClassNames(t *testing.T) {
+	seen := map[string]OpClass{}
+	for c := OpClass(0); c < NumOpClasses; c++ {
+		name := c.String()
+		if name == "" {
+			t.Errorf("op class %d has no name", c)
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("op classes %d and %d share the name %q", prev, c, name)
+		}
+		seen[name] = c
 	}
 }

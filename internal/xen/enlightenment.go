@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hyper"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Enlightenment is the host-side (L0) half of KVM's Xen hypercall offload
@@ -56,7 +57,7 @@ func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool
 		return false, 0, err
 	}
 	stats.ChargeLevel(0, work)
-	stats.Inc("xen.evtchn_ipis", 1)
+	stats.Inc(trace.CounterXenEvtchnIPIs, 1)
 	return true, work + wake, nil
 }
 

@@ -27,12 +27,12 @@ lint:
 	$(GO) run ./cmd/nvlint -unused-directives $(if $(VERBOSE),-v,)
 
 # bench runs the harness and hot-path benchmarks: Figure 7 sequential vs
-# parallel pool, and the allocation-free nested Execute path in both plan
-# modes. It then regenerates BENCH_10.json, the committed machine-readable
+# parallel pool, the allocation-free nested Execute path in both plan modes,
+# and the warm workload driver (BenchmarkRunFor, reported in ns/txn). It then regenerates BENCH_10.json, the committed machine-readable
 # artifact (per-figure modeled cycles and overheads plus ns/op and allocs/op
 # for the pipeline's hot paths, uncached vs replayed).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/' -benchmem ./internal/experiment/ ./internal/hyper/
+	$(GO) test -run='^$$' -bench='BenchmarkFigure7|BenchmarkExecuteNested|BenchmarkExecute/|BenchmarkRunFor' -benchmem ./internal/experiment/ ./internal/hyper/ ./internal/workload/
 	$(GO) run ./cmd/nvperf -o BENCH_10.json
 
 # bench-compare re-collects the artifact and gates it against the committed

@@ -18,8 +18,8 @@ race:
 
 # lint runs nvlint, the simulator-aware static analyzer (see DESIGN.md §8 and
 # §13): determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-# nopanic, the Op by-value contract, and the v2 pipeline contracts (cachegen,
-# stageledger, interceptor). -unused-directives keeps the suppression
+# nopanic, and the v2 pipeline contracts (cachegen, interceptor's
+# claim-before-mutate). -unused-directives keeps the suppression
 # inventory honest: a //nvlint comment that no longer suppresses anything
 # fails the gate. VERBOSE=1 also prints the hot-path call chains and every
 # suppressed finding with its justification.

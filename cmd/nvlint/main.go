@@ -1,8 +1,8 @@
 // Command nvlint runs the simulator-aware static analyzer over the module:
 // determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-// no-panic engine code, the Op by-value contract, and the v2 pipeline
-// contracts (plan-cache generation soundness, begin/settle pairing,
-// interceptor claim discipline). It prints one file:line finding per
+// no-panic engine code, and the v2 pipeline contracts (plan-cache
+// generation soundness, interceptor claim discipline). It prints one
+// file:line finding per
 // violation and exits nonzero if any are active.
 //
 // Usage:

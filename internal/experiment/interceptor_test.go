@@ -162,3 +162,49 @@ func TestEnlightenmentRequiresMatchingPersonality(t *testing.T) {
 		t.Errorf("DVH priority %d must sort after the enlightenments (%d, %d)", n, hyperv.InterceptPriority, xen.InterceptPriority)
 	}
 }
+
+// TestRegisteredChainAllocFree extends the steady-state allocation contract
+// to stacks with real interceptors registered — DVH, and the Xen and Hyper-V
+// enlightenments — so the chain consultation itself is covered, not only an
+// empty chain. Together with the hyper package's alloc tests, this is what
+// keeps hyper.Op passed by value: a pointer through TryHandle would escape
+// on every Execute.
+func TestRegisteredChainAllocFree(t *testing.T) {
+	specs := []Spec{
+		{Depth: 3, IO: IODVH},
+		{Depth: 2, Guest: GuestXen, Enlightened: true},
+		{Depth: 2, Guest: GuestHyperV, Enlightened: true},
+	}
+	for _, spec := range specs {
+		st, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.World.Interceptors()) == 0 {
+			t.Fatalf("%v: no interceptor registered", spec)
+		}
+		v := st.Target.VCPUs[0]
+		dest := uint32((v.ID + 1) % len(v.VM.VCPUs))
+		ops := []hyper.Op{
+			hyper.Hypercall(),
+			hyper.DevNotify(st.Net.Doorbell),
+			hyper.SendIPI(dest, apic.VectorReschedule),
+			hyper.EOI(),
+		}
+		for _, op := range ops {
+			if _, err := st.World.Execute(v, op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, op := range ops {
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := st.World.Execute(v, op); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v: Execute(%v) allocates %.1f times per op with the chain registered, want 0", spec, op.Kind, allocs)
+			}
+		}
+	}
+}

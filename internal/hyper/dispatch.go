@@ -44,9 +44,7 @@ func reasonFor(op Op) vmx.ExitReason {
 // exit transaction and flows it through the pipeline stages.
 func (w *World) Execute(v *VCPU, op Op) (sim.Cycles, error) {
 	var tx ExitContext
-	w.begin(&tx, v, op, BoundaryExecute)
-	err := w.dispatch(&tx)
-	return w.settle(&tx, err)
+	return w.transact(&tx, BoundaryExecute, v, op, nil)
 }
 
 // dispatch drives an Execute transaction through the pipeline: operations
@@ -91,7 +89,6 @@ func (w *World) dispatch(tx *ExitContext) error {
 // access, a posted doorbell write to a passed-through physical device, and
 // an APICv-absorbed EOI.
 func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
-	tx.Stage = StageFastPath
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	switch tx.Op.Kind {
@@ -133,7 +130,6 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 // stageRoute resolves which hypervisor level owns the exit and records the
 // routed transaction on the trace timeline.
 func (w *World) stageRoute(tx *ExitContext) {
-	tx.Stage = StageRoute
 	tx.Owner = w.ownerLevel(tx.V, tx.Op)
 	w.Tracer.Record(tx.Reason, tx.Level, tx.Owner)
 }
@@ -141,7 +137,6 @@ func (w *World) stageRoute(tx *ExitContext) {
 // stageEmulate concludes a host-owned exit: L0 dispatches to its handler,
 // performs the emulation work, and re-enters the guest.
 func (w *World) stageEmulate(tx *ExitContext) error {
-	tx.Stage = StageEmulate
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	stats.RecordHandledExit(tx.Reason, 0)
@@ -158,7 +153,6 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 // cost/charge tree of the reflection (plan.go) is charged through the plan
 // cache, and the owner's side effects always run live after it.
 func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
-	tx.Stage = StageForward
 	w.Host.Machine.Stats.RecordHandledExit(tx.Reason, tx.Owner)
 	fwd := w.chargePath(tx.V, stack, kindForward, tx.Reason, tx.Owner, Script{})
 	eff, err := w.ownerEffects(tx.V, tx.Op, tx.Owner)

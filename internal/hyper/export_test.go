@@ -9,9 +9,7 @@ import "repro/internal/sim"
 // sum(StageCost(s)) == Cost for every transaction the matrix runs.
 func (w *World) ExecuteLedger(v *VCPU, op Op) ([]sim.Cycles, sim.Cycles, error) {
 	var tx ExitContext
-	w.begin(&tx, v, op, BoundaryExecute)
-	derr := w.dispatch(&tx)
-	cost, err := w.settle(&tx, derr)
+	cost, err := w.transact(&tx, BoundaryExecute, v, op, nil)
 	ledger := make([]sim.Cycles, stageCount)
 	copy(ledger, tx.ledger[:])
 	return ledger, cost, err

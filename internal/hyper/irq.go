@@ -10,9 +10,9 @@ import (
 
 // This file is the deliver stage of the pipeline: interrupt deliveries
 // (timer, device completion), inbound device data, and idle wakes. Each
-// public entry point opens its own exit transaction — the checker frames
-// stack when a delivery happens inside a larger transaction (an IPI waking
-// its destination) — and settles it at the pipeline's single settle point.
+// public entry point is one transact call that runs the unexported body —
+// the checker frames stack when a delivery happens inside a larger
+// transaction (an IPI waking its destination).
 
 // DeliverTimerIRQ delivers a fired timer interrupt to its vCPU and returns
 // the delivery cost. A level-1 VM (and, with the direct-delivery extension,
@@ -21,10 +21,7 @@ import (
 // path first.
 func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	w.begin(&tx, v, Op{}, BoundaryTimerIRQ)
-	cost, err := w.deliverTimerIRQ(v)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(&tx, BoundaryTimerIRQ, v, Op{}, nil)
 }
 
 func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
@@ -72,10 +69,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 // forwarded HLT exit), which is exactly what DVH virtual idle removes.
 func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	w.begin(&tx, dest, Op{}, BoundaryWake)
-	cost, err := w.wakeIfIdle(dest)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(&tx, BoundaryWake, dest, Op{}, nil)
 }
 
 func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
@@ -114,10 +108,7 @@ func (w *World) wakeLadderCost(idleOwner int, sink walkSink) sim.Cycles {
 // hypervisor level that interposes on it.
 func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	w.begin(&tx, target, Op{}, BoundaryDeviceIRQ)
-	cost, err := w.deliverDeviceIRQ(dev, target)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(&tx, BoundaryDeviceIRQ, target, Op{}, dev)
 }
 
 func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
@@ -158,10 +149,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 // for virtual-passthrough only the host backend runs.
 func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	w.begin(&tx, target, Op{}, BoundaryDeviceRX)
-	cost, err := w.deviceRX(dev, target)
-	tx.add(StageDeliver, cost)
-	return w.settle(&tx, err)
+	return w.transact(&tx, BoundaryDeviceRX, target, Op{}, dev)
 }
 
 func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the exit-transaction pipeline: every public World entry point
-// builds an ExitContext, opens it with begin, flows it through the ordered
-// stages, and closes it with settle. The paper's Figure 1 flow — an exit
+// is one call to transact, which opens an ExitContext, flows it through the
+// ordered stages, and settles it. The paper's Figure 1 flow — an exit
 // enters at L0 and is either handled directly (1b) or forwarded up the
 // hypervisor stack (1a) — is modeled as explicit stages so that boundary
 // bookkeeping (invariant-checker bracketing, the final cost returned to the
@@ -114,19 +114,13 @@ type ExitContext struct {
 	// Owner is the hypervisor level routed to handle the exit;
 	// ownerUnresolved until StageRoute, 0 when the host claims it.
 	Owner int
-	// Stage is the stage the transaction is currently in.
-	Stage Stage
 	// Cost is the accumulated cost ledger total — exactly the cycles the
 	// transaction has charged on behalf of its caller so far, and the value
-	// settle returns.
+	// transact returns on success.
 	Cost sim.Cycles
 
 	// ledger attributes the accumulated cost to the stage that added it.
 	ledger [stageCount]sim.Cycles
-	// token and checked carry the invariant checker's frame across the
-	// transaction, from begin to settle.
-	token   int
-	checked bool
 }
 
 // add charges cycles to the transaction on behalf of a stage. Stages must
@@ -141,44 +135,56 @@ func (tx *ExitContext) add(s Stage, c sim.Cycles) {
 // transaction — the per-stage latency breakdown the pipeline exposes.
 func (tx *ExitContext) StageCost(s Stage) sim.Cycles { return tx.ledger[int(s)] }
 
-// begin opens the transaction, initialising tx in place: the caller declares
-// a zero ExitContext on its own frame and begin fills in the transaction's
-// identity, so the context is never built in one frame and copied into
-// another. This is the only place a boundary frame is opened with the
-// invariant checker: entry points never bracket themselves. The world's
-// transaction depth tracks how deeply boundaries are nested so settle can
-// tell an outermost transaction (observed by StageStats) from a nested one
-// (whose cost the enclosing ledger already holds).
-func (w *World) begin(tx *ExitContext, v *VCPU, op Op, b Boundary) {
+// transact runs one exit transaction from open to settle, filling tx in
+// place: the caller declares a zero ExitContext on its own frame, so the
+// context is never built in one frame and copied into another. It is the only
+// place a boundary frame is opened with the invariant checker and the single
+// point where a boundary's final cost is decided — every public entry point
+// is one call to it. Execute transactions flow through dispatch's stages;
+// delivery boundaries run their body and charge its cost under StageDeliver.
+//
+// The checker observes the completed frame exactly once, and the caller
+// receives the ledger total, or zero on error: failed operations abandon
+// their partial charges, which the checker's cycle-conservation frame
+// excuses only on the error path. The world's transaction depth tells an
+// outermost transaction (observed by StageStats) from a nested one, whose
+// cost the enclosing ledger already holds.
+func (w *World) transact(tx *ExitContext, b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.Cycles, error) {
 	tx.V, tx.Op, tx.Boundary, tx.Owner = v, op, b, ownerUnresolved
 	if v != nil {
 		tx.Level = v.VM.Level
 	}
-	if b == BoundaryExecute {
-		tx.Reason = reasonFor(op)
-	}
 	w.txDepth++
-	if w.Check == nil {
-		return
+	check, token := w.Check, 0
+	if check != nil {
+		token = check.Begin(w, v, b, op)
 	}
-	tx.checked = true
-	tx.token = w.Check.Begin(w, tx.V, tx.Boundary, tx.Op)
-}
 
-// settle closes the transaction and is the single point where a boundary's
-// final cost is decided: the checker observes the completed frame exactly
-// once, and the caller receives the ledger total (or zero on error — failed
-// operations abandon their partial charges, which the checker's
-// cycle-conservation frame excuses only on the error path).
-func (w *World) settle(tx *ExitContext, err error) (sim.Cycles, error) {
-	tx.Stage = StageSettle
+	var delivered sim.Cycles
+	var err error
+	switch b {
+	case BoundaryExecute:
+		tx.Reason = reasonFor(op)
+		err = w.dispatch(tx)
+	case BoundaryTimerIRQ:
+		delivered, err = w.deliverTimerIRQ(v)
+	case BoundaryWake:
+		delivered, err = w.wakeIfIdle(v)
+	case BoundaryDeviceIRQ:
+		delivered, err = w.deliverDeviceIRQ(dev, v)
+	case BoundaryDeviceRX:
+		delivered, err = w.deviceRX(dev, v)
+	}
+	// Execute's stages charge the ledger themselves; delivered is zero there.
+	tx.add(StageDeliver, delivered)
+
 	w.txDepth--
 	cost := tx.Cost
 	if err != nil {
 		cost = 0
 	}
-	if tx.checked {
-		w.Check.End(tx.token, w, tx.V, tx.Boundary, tx.Op, cost, err)
+	if check != nil {
+		check.End(token, w, v, b, op, cost, err)
 	}
 	if err != nil {
 		return 0, err
@@ -222,14 +228,15 @@ func (w *World) observeStages(tx *ExitContext) {
 // stats sink, and returns that work so the intercept stage can wrap it in
 // the fixed exit/dispatch/entry costs. Op is passed by value: TryHandle
 // never mutates it, and a pointer would force every Execute call's op to
-// escape to the heap through the interface boundary — the steady-state exit
-// path is kept allocation-free, a contract nvlint enforces for every
-// registered implementation.
+// escape to the heap through the interface boundary. The steady-state exit
+// path is kept allocation-free; the AllocsPerRun tests in this package and
+// in package experiment (with DVH and the enlightenments registered) hold
+// that contract, and nvlint's interceptor rule holds claim-before-mutate.
 type Interceptor interface {
 	// InterceptorInfo returns the interceptor's stable name and its chain
 	// priority. Lower priorities are consulted first; ties order by name.
-	// Both must be constant for a given interceptor: the chain order is part
-	// of the simulation's determinism contract.
+	// Only RegisterInterceptor consults it, to sort the chain and reject
+	// duplicate names; the exit path never calls it.
 	InterceptorInfo() (name string, priority int)
 	// TryHandle inspects an exit from a nested VM (level >= 2) and reports
 	// whether it handled it directly, with the work charged.
@@ -272,7 +279,6 @@ func (w *World) Interceptors() []Interceptor { return w.interceptors }
 // its check work to the host before the exit moves on — the bookkeeping the
 // paper's Table 3 shows as DVH's slightly costlier forwarded hypercall.
 func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
-	tx.Stage = StageIntercept
 	if tx.Level < 2 || len(w.interceptors) == 0 {
 		return false, nil
 	}

@@ -61,9 +61,9 @@ type World struct {
 	// stage-breakdown figure). Attach with AttachStageStats or set directly;
 	// a nil sink costs one branch at settle.
 	Stages *trace.StageStats
-	// txDepth is the current boundary nesting depth (begin increments,
-	// settle decrements): 1 means the settling transaction is outermost and
-	// is the one StageStats observes.
+	// txDepth is the current boundary nesting depth, maintained by transact
+	// alone: 1 means the settling transaction is outermost and is the one
+	// StageStats observes.
 	txDepth int
 	// Check, when non-nil, observes every boundary entry/exit for invariant
 	// validation (internal/check). A nil checker costs one branch.

@@ -17,7 +17,6 @@
 //	exhaustive   switches over module-declared enum types cover every
 //	             constant or carry an explicit default
 //	nopanic      panic() is forbidden in non-test engine packages
-//	opbyvalue    hyper.Op is passed by value, never by pointer
 //
 // v2 rules (the architectural contracts of the exit pipeline):
 //
@@ -25,12 +24,8 @@
 //	             generation counter (or explicitly allowlisted as a
 //	             non-input), generation setters really bump their counter,
 //	             and guarded fields are written only by their setter
-//	stageledger  every boundary that opens a transaction with begin settles
-//	             it exactly once on every path, and each function charges the
-//	             ExitContext ledger under a single statically-known stage
-//	interceptor  Interceptor implementations return literal (name, priority)
-//	             pairs, never mutate engine state before claiming an op, and
-//	             inherit the determinism contract wherever their code lives
+//	interceptor  Interceptor implementations never mutate engine state on a
+//	             path that can still decline the op (claim before mutate)
 //	directive    //nvlint comments that no longer suppress anything are
 //	             themselves flagged (reported via -unused-directives)
 package lint
@@ -49,9 +44,7 @@ const (
 	RuleHotAlloc    = "hotalloc"
 	RuleExhaustive  = "exhaustive"
 	RuleNoPanic     = "nopanic"
-	RuleOpByValue   = "opbyvalue"
 	RuleCacheGen    = "cachegen"
-	RuleStageLedger = "stageledger"
 	RuleInterceptor = "interceptor"
 	RuleDirective   = "directive"
 )
@@ -76,13 +69,8 @@ type Config struct {
 	// "pkg/path.(*Recv).Method", or "pkg/path.Iface.Method" (every module
 	// implementation of the interface method becomes a root).
 	HotRoots []string
-	// ByValueTypes are named types that must never be passed by pointer or
-	// have their address taken, as "pkg/path.Name".
-	ByValueTypes []string
 	// CacheGen, when set, enables the plan-cache generation-soundness rule.
 	CacheGen *CacheGenConfig
-	// StageLedger, when set, enables the begin/settle and ledger-charge rule.
-	StageLedger *StageLedgerConfig
 	// Interceptor, when set, enables the interceptor-contract rule.
 	Interceptor *InterceptorConfig
 }
@@ -116,41 +104,14 @@ type CacheGenConfig struct {
 	SetterOnly map[string][]string
 }
 
-// StageLedgerConfig configures the stageledger rule: the pipeline's
-// single-settle-point contract, checked on every path instead of only
-// executed ones.
-type StageLedgerConfig struct {
-	// Begin and Settle are the transaction open/close methods
-	// ("pkg/path.(*Recv).Method"). Every function calling Begin must call it
-	// exactly once, must route every return through Settle, and may only call
-	// Settle inside a return statement; calling Settle without Begin is a
-	// boundary bypass.
-	Begin  string
-	Settle string
-	// Charge is the ledger-charge method ("pkg/path.(*Recv).Method"). Its
-	// stage argument must be a constant, and one function may charge only a
-	// single stage — per-stage attribution stays statically decidable.
-	Charge string
-	// StageField is the name of the transaction's current-stage field
-	// (default "Stage"); an assignment to it must agree with the stage the
-	// function charges.
-	StageField string
-}
-
 // InterceptorConfig configures the interceptor rule around a direct-handling
-// backend interface with InterceptorInfo/TryHandle-shaped methods.
+// backend interface whose claim method is TryHandle: its first bool result is
+// the handled flag and its last error result the failure channel.
+// Implementations must not mutate engine state on any path that can still
+// decline (return handled=false with a nil error).
 type InterceptorConfig struct {
 	// Iface is the interceptor interface ("pkg/path.Name").
 	Iface string
-	// InfoMethod (default "InterceptorInfo") must return only constant
-	// expressions in every implementation: chain order is part of the
-	// determinism contract.
-	InfoMethod string
-	// TryMethod (default "TryHandle") is the claim method: its first bool
-	// result is the handled flag and its last error result the failure
-	// channel. Implementations must not mutate engine state on any path that
-	// can still decline (return handled=false with a nil error).
-	TryMethod string
 }
 
 // Finding is one rule violation.
@@ -191,8 +152,8 @@ type Result struct {
 }
 
 // ModuleConfig returns the configuration nvlint uses for this repository:
-// the DVH engine's hot roots, the by-value Op contract, and the parallel
-// runner as the only package allowed to start goroutines.
+// the DVH engine's hot roots, the plan-cache and interceptor contracts, and
+// the parallel runner as the only package allowed to start goroutines.
 func ModuleConfig(dir string) (Config, error) {
 	cfg := Config{Dir: dir}
 	mp, err := modulePath(dir)
@@ -211,7 +172,6 @@ func ModuleConfig(dir string) (Config, error) {
 		mp + "/internal/trace.(*StageStats).ObserveStage",
 		mp + "/internal/trace.(*StageStats).ObserveSettled",
 	}
-	cfg.ByValueTypes = []string{mp + "/internal/hyper.Op"}
 	// cachegen: the plan replay cache (internal/hyper/plan.go) bakes
 	// compile-path reads into cached plans; every one of them must be
 	// covered by a generation counter or be provably not a plan input. The
@@ -271,15 +231,8 @@ func ModuleConfig(dir string) (Config, error) {
 			},
 		},
 	}
-	// stageledger: the exit-transaction pipeline's single-settle-point
-	// contract (internal/hyper/pipeline.go).
-	cfg.StageLedger = &StageLedgerConfig{
-		Begin:  mp + "/internal/hyper.(*World).begin",
-		Settle: mp + "/internal/hyper.(*World).settle",
-		Charge: mp + "/internal/hyper.(*ExitContext).add",
-	}
-	// interceptor: the direct-handling chain's registration and
-	// claim-before-mutate contracts (internal/hyper/pipeline.go).
+	// interceptor: the direct-handling chain's claim-before-mutate contract
+	// (internal/hyper/pipeline.go).
 	cfg.Interceptor = &InterceptorConfig{
 		Iface: mp + "/internal/hyper.Interceptor",
 	}
@@ -319,16 +272,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	g := buildCallGraph(prog)
 
-	rules := []string{RuleDeterminism, RuleNoPanic, RuleExhaustive, RuleOpByValue, RuleHotAlloc}
+	rules := []string{RuleDeterminism, RuleNoPanic, RuleExhaustive, RuleHotAlloc}
 	var all []Finding
 	all = append(all, checkDeterminism(prog, &cfg)...)
 	all = append(all, checkNoPanic(prog, &cfg)...)
 	all = append(all, checkExhaustive(prog, &cfg)...)
-	ops, err := checkOpByValue(prog, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	all = append(all, ops...)
 	hot, nHot, err := checkHotAlloc(prog, &cfg, g)
 	if err != nil {
 		return nil, err
@@ -337,14 +285,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CacheGen != nil {
 		rules = append(rules, RuleCacheGen)
 		fs, err := checkCacheGen(prog, &cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	if cfg.StageLedger != nil {
-		rules = append(rules, RuleStageLedger)
-		fs, err := checkStageLedger(prog, &cfg, g)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,18 @@ import (
 	"strings"
 )
 
+// resolveSingle resolves a spec that must name exactly one concrete function.
+func resolveSingle(g *callGraph, spec string) (*types.Func, error) {
+	fns, err := g.resolveRoot(spec)
+	if err != nil {
+		return nil, err
+	}
+	if len(fns) != 1 {
+		return nil, fmt.Errorf("lint: spec %q resolves to %d functions, want exactly 1", spec, len(fns))
+	}
+	return fns[0], nil
+}
+
 // resolveNamed resolves "pkg/path.Name" to a loaded named type.
 func resolveNamed(prog *program, spec string) (*types.Named, error) {
 	pkg, rest := splitQualified(prog, spec)

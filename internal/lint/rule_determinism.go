@@ -28,39 +28,35 @@ func checkDeterminism(prog *program, cfg *Config) []Finding {
 		}
 		for _, f := range pkg.Files {
 			dirs := pkg.Directives[f]
-			out = append(out, scanDeterminism(prog, pkg, dirs, f, allowedGo[pkg.Path], RuleDeterminism, "")...)
+			out = append(out, scanDeterminism(prog, pkg, dirs, f, allowedGo[pkg.Path])...)
 		}
 	}
 	return out
 }
 
-// scanDeterminism applies the determinism checks to one subtree, emitting
-// under the given rule id (the interceptor rule re-runs these checks over
-// TryHandle-reachable code outside the engine packages, where the base rule
-// does not look). suffix is appended to each message to say why the subtree
-// is in scope.
-func scanDeterminism(prog *program, pkg *Package, dirs *fileDirectives, root ast.Node, allowGo bool, rule, suffix string) []Finding {
+// scanDeterminism applies the determinism checks to one file.
+func scanDeterminism(prog *program, pkg *Package, dirs *fileDirectives, root ast.Node, allowGo bool) []Finding {
 	var out []Finding
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if !allowGo {
-				out = append(out, finding(prog, pkg, dirs, n.Pos(), rule,
-					"go statement outside the allowed packages; concurrency must go through internal/parallel"+suffix))
+				out = append(out, finding(prog, pkg, dirs, n.Pos(), RuleDeterminism,
+					"go statement outside the allowed packages; concurrency must go through internal/parallel"))
 			}
 		case *ast.CallExpr:
 			if pkgName, fn := stdlibCall(pkg, n); pkgName != "" {
 				switch {
 				case pkgName == "time" && wallClockFuncs[fn]:
-					out = append(out, finding(prog, pkg, dirs, n.Pos(), rule,
-						"time."+fn+" reads the host clock; use the simulated clock (internal/sim)"+suffix))
+					out = append(out, finding(prog, pkg, dirs, n.Pos(), RuleDeterminism,
+						"time."+fn+" reads the host clock; use the simulated clock (internal/sim)"))
 				case (pkgName == "math/rand" || pkgName == "math/rand/v2") && fn != "New" && fn != "NewSource":
-					out = append(out, finding(prog, pkg, dirs, n.Pos(), rule,
-						"math/rand."+fn+" uses the global (unseeded) source; use the seeded internal/sim RNG"+suffix))
+					out = append(out, finding(prog, pkg, dirs, n.Pos(), RuleDeterminism,
+						"math/rand."+fn+" uses the global (unseeded) source; use the seeded internal/sim RNG"))
 				}
 			}
 		case *ast.RangeStmt:
-			if f := checkMapRange(prog, pkg, dirs, n, rule, suffix); f != nil {
+			if f := checkMapRange(prog, pkg, dirs, n); f != nil {
 				out = append(out, *f)
 			}
 		}
@@ -91,7 +87,7 @@ func stdlibCall(pkg *Package, call *ast.CallExpr) (string, string) {
 // //nvlint:ordered or matches the sorted-collect idiom: a body that only
 // appends the key or value to a slice (to be sorted before use). Everything
 // else can leak map iteration order into simulator output.
-func checkMapRange(prog *program, pkg *Package, dirs *fileDirectives, rng *ast.RangeStmt, rule, suffix string) *Finding {
+func checkMapRange(prog *program, pkg *Package, dirs *fileDirectives, rng *ast.RangeStmt) *Finding {
 	t := pkg.Info.TypeOf(rng.X)
 	if t == nil || !rangesOverMap(t) {
 		return nil
@@ -103,8 +99,8 @@ func checkMapRange(prog *program, pkg *Package, dirs *fileDirectives, rng *ast.R
 	if isCollectIdiom(rng) {
 		return nil
 	}
-	f := finding(prog, pkg, dirs, rng.Pos(), rule,
-		"range over map: iteration order can reach simulator output; sort the keys, use the collect-then-sort idiom, or annotate //nvlint:ordered"+suffix)
+	f := finding(prog, pkg, dirs, rng.Pos(), RuleDeterminism,
+		"range over map: iteration order can reach simulator output; sort the keys, use the collect-then-sort idiom, or annotate //nvlint:ordered")
 	return &f
 }
 

@@ -5,45 +5,20 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"sort"
 )
 
-// checkInterceptor enforces the direct-handling backend contract on every
-// implementation of the configured interceptor interface:
-//
-//   - the info method returns only constant expressions — chain order is
-//     sorted by (priority, name) and must not depend on runtime state;
-//   - the claim method must not mutate engine state on any path that can
-//     still decline (return handled=false with a nil error): a declined op
-//     falls through to forwarding, and a mutation before the decline would be
-//     observed twice or half-applied (error aborts are exempt — the
-//     transaction settles with the error);
-//   - everything reachable from the claim method inherits the determinism
-//     rule even outside the engine-scoped packages, because interceptors run
-//     inside the exit pipeline wherever their code lives.
+// checkInterceptor enforces claim-before-mutate on every implementation of
+// the configured interceptor interface: the claim method must not mutate
+// engine state on any path that can still decline (return handled=false with
+// a nil error). A declined op falls through to forwarding, and a mutation
+// before the decline would be observed twice or half-applied (error aborts
+// are exempt — the transaction settles with the error).
 func checkInterceptor(prog *program, cfg *Config, g *callGraph) ([]Finding, error) {
-	ic := cfg.Interceptor
-	info := ic.InfoMethod
-	if info == "" {
-		info = "InterceptorInfo"
-	}
-	try := ic.TryMethod
-	if try == "" {
-		try = "TryHandle"
-	}
-	infoImpls, err := g.resolveRoot(ic.Iface + "." + info)
+	tryImpls, err := g.resolveRoot(cfg.Interceptor.Iface + ".TryHandle")
 	if err != nil {
 		return nil, err
 	}
-	tryImpls, err := g.resolveRoot(ic.Iface + "." + try)
-	if err != nil {
-		return nil, err
-	}
-
 	var out []Finding
-	for _, fn := range infoImpls {
-		out = append(out, checkInfoConstant(prog, fn)...)
-	}
 	mut := computeMutability(prog, g)
 	for _, fn := range tryImpls {
 		fs, err := checkClaimBeforeMutate(prog, mut, fn)
@@ -52,42 +27,7 @@ func checkInterceptor(prog *program, cfg *Config, g *callGraph) ([]Finding, erro
 		}
 		out = append(out, fs...)
 	}
-	out = append(out, inheritDeterminism(prog, cfg, g, tryImpls)...)
 	return out, nil
-}
-
-// checkInfoConstant flags non-constant results in an info method.
-func checkInfoConstant(prog *program, fn *types.Func) []Finding {
-	fd, ok := prog.funcs[fn]
-	if !ok {
-		return nil
-	}
-	pkg := fd.pkg
-	dirs := pkg.Directives[fileOf(pkg, fd.decl.Pos())]
-	var out []Finding
-	ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if len(ret.Results) == 0 {
-			out = append(out, finding(prog, pkg, dirs, ret.Pos(), RuleInterceptor,
-				fmt.Sprintf("%s uses a naked return; the (name, priority) pair must be literal — chain order is part of the determinism contract", funcID(fn))))
-			return true
-		}
-		for _, r := range ret.Results {
-			tv, ok := pkg.Info.Types[r]
-			if !ok || tv.Value == nil {
-				out = append(out, finding(prog, pkg, dirs, r.Pos(), RuleInterceptor,
-					fmt.Sprintf("%s returns a non-constant value; the (name, priority) pair must be literal — chain order is part of the determinism contract", funcID(fn))))
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // checkClaimBeforeMutate flags engine-state mutations in a claim method that
@@ -259,34 +199,4 @@ func (c *declineCtx) markStmt(s ast.Stmt, after bool) {
 	default:
 		c.flagIn(s, after)
 	}
-}
-
-// inheritDeterminism re-runs the determinism checks over every function
-// reachable from the claim methods in packages the base rule does not cover.
-func inheritDeterminism(prog *program, cfg *Config, g *callGraph, tryImpls []*types.Func) []Finding {
-	reached := g.reach(tryImpls)
-	fns := make([]*types.Func, 0, len(reached))
-	for fn := range reached { //nvlint:ordered sorted by funcID on the next line
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return funcID(fns[i]) < funcID(fns[j]) })
-	allowedGo := map[string]bool{}
-	for _, p := range cfg.GoStmtAllowed {
-		allowedGo[p] = true
-	}
-	var out []Finding
-	for _, fn := range fns {
-		fd, ok := prog.funcs[fn]
-		if !ok {
-			continue
-		}
-		pkg := fd.pkg
-		if engineScoped(cfg, pkg.Path) {
-			continue // the base determinism rule already covers it
-		}
-		dirs := pkg.Directives[fileOf(pkg, fd.decl.Pos())]
-		out = append(out, scanDeterminism(prog, pkg, dirs, fd.decl.Body, allowedGo[pkg.Path], RuleInterceptor,
-			" (reachable from the interceptor chain, which runs inside the exit pipeline)")...)
-	}
-	return out
 }

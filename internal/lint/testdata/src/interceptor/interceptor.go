@@ -1,12 +1,6 @@
-// Package interceptor exercises the interceptor-contract rule: constant
-// (name, priority) registration, no engine-state mutation on paths that can
-// still decline, and determinism inherited by everything reachable from the
-// claim method. The golden test points EnginePrefixes away from this package,
-// so the base determinism rule does not cover it — the time.Now finding below
-// must come from the inheritance pass.
+// Package interceptor exercises the interceptor-contract rule: no
+// engine-state mutation on paths that can still decline the op.
 package interceptor
-
-import "time"
 
 // Op is the operation offered to the chain.
 type Op struct{ Kind int }
@@ -14,12 +8,6 @@ type Op struct{ Kind int }
 // Engine is the mutable state an interceptor must not touch before claiming.
 type Engine struct {
 	Counter int
-}
-
-// stamp is reachable from a claim method, so it inherits the determinism
-// contract even though this package is not engine-scoped.
-func (e *Engine) stamp() {
-	_ = time.Now() // want "reads the host clock"
 }
 
 // Interceptor is the direct-handling backend interface.
@@ -38,18 +26,13 @@ func (g *Good) TryHandle(op Op) (bool, error) {
 		return false, nil
 	}
 	g.eng.Counter++
-	g.eng.stamp()
 	return true, nil
 }
 
-var badPrio = 20
-
-// Bad registers a runtime priority and mutates before declining.
+// Bad mutates before declining.
 type Bad struct{ eng *Engine }
 
-func (b *Bad) InterceptorInfo() (string, int) {
-	return "bad", badPrio // want "non-constant"
-}
+func (b *Bad) InterceptorInfo() (string, int) { return "bad", 20 }
 
 func (b *Bad) TryHandle(op Op) (bool, error) {
 	b.eng.Counter++ // want "mutates engine state"
@@ -73,16 +56,6 @@ func (s *Sneaky) TryHandle(op Op) (bool, error) {
 	}
 	return false, nil
 }
-
-// Naked uses a naked return; the pair must be literal at the return site.
-type Naked struct{ eng *Engine }
-
-func (n *Naked) InterceptorInfo() (name string, prio int) {
-	name, prio = "naked", 5
-	return // want "naked return"
-}
-
-func (n *Naked) TryHandle(op Op) (bool, error) { return false, nil }
 
 // Errful mutates and then aborts with an error — exempt: an error settles
 // the transaction instead of forwarding the exit, so nothing observes the

@@ -86,6 +86,13 @@ func TestGoldenMatrix(t *testing.T) {
 			return FormatBreakdown(rows), nil
 		}},
 		{"stats.golden", renderRunForStats},
+		{"migration.golden", func() (string, error) {
+			rows, err := Migration()
+			if err != nil {
+				return "", err
+			}
+			return FormatMigration(rows), nil
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/migrate"
 	"repro/internal/trace"
@@ -74,6 +75,33 @@ func TestSnapshotRestoreReplaysIdenticalTimeline(t *testing.T) {
 	}
 	if !reflect.DeepEqual(srcRes, dstRes) {
 		t.Errorf("segment 2 results diverge:\noriginal: %+v\nrestored: %+v", srcRes, dstRes)
+	}
+	finish(t, spec, srcCheck)
+	finish(t, spec, dstCheck)
+}
+
+// TestMigrationKeepsDirtyInvariants runs a DVH migration, whose pages move
+// by copy-on-write frame sharing, with the checker attached to both stacks:
+// the destination's written sets, dirty logs and EPT A/D bits must agree
+// exactly as after a byte copy.
+func TestMigrationKeepsDirtyInvariants(t *testing.T) {
+	spec := experiment.Spec{Depth: 2, IO: experiment.IODVH}
+	src, srcCheck := buildChecked(t, spec)
+	dst, dstCheck := buildChecked(t, spec)
+	vp, ok := src.DVH.VPStateOf(src.Net)
+	if !ok {
+		t.Fatal("DVH stack without VP state")
+	}
+	p := &migrate.Plan{
+		VM: src.Target, Dest: dst.Target,
+		VP: []*core.VPState{vp}, UseMigrationCap: true,
+		Churn: migrate.Churn{WorkingSetPages: 512, CPUPagesPerSec: 2000, DMAPagesPerSec: 500},
+	}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := p.VerifyDest(); err != nil || len(bad) != 0 {
+		t.Fatalf("destination diverges on %v (err %v)", bad, err)
 	}
 	finish(t, spec, srcCheck)
 	finish(t, spec, dstCheck)

@@ -264,8 +264,7 @@ func (v *vpDMA) Write(a mem.Addr, buf []byte) error {
 // CollectDMADirty drains the DMA dirty log — the data the migration
 // capability exposes to the guest hypervisor per pre-copy round.
 func (vp *VPState) CollectDMADirty() []mem.PFN {
-	var out []mem.PFN
-	vp.HostDirty.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
+	out := vp.HostDirty.PFNs()
 	vp.HostDirty.Reset()
 	return out
 }

@@ -361,8 +361,7 @@ func (vm *VM) CollectDirty() []mem.PFN {
 	if vm.dirty == nil {
 		return nil
 	}
-	var out []mem.PFN
-	vm.dirty.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
+	out := vm.dirty.PFNs()
 	vm.dirty.Reset()
 	return out
 }
@@ -373,17 +372,11 @@ func (vm *VM) PeekDirty() []mem.PFN {
 	if vm.dirty == nil {
 		return nil
 	}
-	var out []mem.PFN
-	vm.dirty.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
-	return out
+	return vm.dirty.PFNs()
 }
 
 // WrittenPages returns every guest frame ever written.
-func (vm *VM) WrittenPages() []mem.PFN {
-	var out []mem.PFN
-	vm.written.ForEach(func(i uint64) { out = append(out, mem.PFN(i)) })
-	return out
-}
+func (vm *VM) WrittenPages() []mem.PFN { return vm.written.PFNs() }
 
 // Written reports whether a guest frame has ever been written.
 func (vm *VM) Written(p mem.PFN) bool { return vm.written.Test(uint64(p)) }
@@ -421,6 +414,25 @@ func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
 		g.vm.markWrite(mem.PageOf(a + mem.Addr(off)))
 		return g.vm.Owner.Machine.Memory.Write(host, buf[off:off+n])
 	})
+}
+
+// SharePageTo gives frame p of dst the content of frame p of g without
+// moving bytes: the two machine frames share one backing page copy-on-write
+// (mem.SharePage). The source is translated for read and the destination for
+// write, and the write is recorded at every destination level, so EPT A/D
+// bits and dirty logs end up exactly as after reading the page from g and
+// writing it to dst.
+func (g *GuestMemory) SharePageTo(dst *GuestMemory, p mem.PFN) error {
+	hs, err := g.vm.translateToHost(p.Base(), mem.PermRead)
+	if err != nil {
+		return err
+	}
+	hd, err := dst.vm.translateToHost(p.Base(), mem.PermWrite)
+	if err != nil {
+		return err
+	}
+	dst.vm.markWrite(p)
+	return mem.SharePage(g.vm.Owner.Machine.Memory, mem.PageOf(hs), dst.vm.Owner.Machine.Memory, mem.PageOf(hd))
 }
 
 // chunked walks [a, a+n) page by page, translating each piece with the access

@@ -40,6 +40,11 @@ type AddressSpace struct {
 	pages   map[PFN]*[PageSize]byte
 	dirty   *Bitmap // non-nil while dirty logging is active
 	written *Bitmap // every page ever written; migration's first pass sends these
+	// shared flags the slots whose frame SharePage may have aliased into
+	// another slot. A flagged frame is never written in place: the next
+	// write to the slot copies it first. Nil until the space's first share,
+	// so spaces that never share pay nothing for it.
+	shared *Bitmap
 }
 
 // NewAddressSpace creates an address space of the given byte size (rounded up
@@ -71,14 +76,65 @@ func (as *AddressSpace) page(p PFN, allocate bool) (*[PageSize]byte, error) {
 		return nil, fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", as.name, uint64(p), uint64(as.npages))
 	}
 	pg := as.pages[p]
-	if pg == nil && allocate {
+	if !allocate {
+		return pg, nil
+	}
+	if pg == nil {
 		// Sparse backing store: a frame materializes on first write only.
 		// Hot read paths pass allocate=false and can never reach this.
 		//nvlint:ignore hotalloc first-touch frame materialization; steady-state reads and rewrites hit the cached frame
 		pg = new([PageSize]byte)
 		as.pages[p] = pg
+	} else if as.shared != nil && as.shared.Test(uint64(p)) {
+		// Copy-on-write: another slot may alias this frame, so the writer
+		// takes a private copy. The copy is unshared from birth.
+		//nvlint:ignore hotalloc copy-on-write of a migrated frame, once per page per migration round; only SharePage flags frames
+		cp := new([PageSize]byte)
+		*cp = *pg
+		pg = cp
+		as.pages[p] = pg
+		as.shared.Clear(uint64(p))
 	}
 	return pg, nil
+}
+
+// SharePage makes frame q of dst read as frame p of src without copying:
+// both slots then alias one backing frame, flagged shared in both spaces,
+// and whichever side is written next copies it first. q is marked written,
+// and dirty if dst is logging, exactly as a Write of the page would mark
+// it. A source page that was never written drops dst's frame, so q reads as
+// zero. src and dst may be the same space.
+func SharePage(src *AddressSpace, p PFN, dst *AddressSpace, q PFN) error {
+	if p >= src.npages {
+		return fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", src.name, uint64(p), uint64(src.npages))
+	}
+	if q >= dst.npages {
+		return fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", dst.name, uint64(q), uint64(dst.npages))
+	}
+	if pg := src.pages[p]; pg != nil {
+		src.markShared(p)
+		dst.markShared(q)
+		dst.pages[q] = pg
+	} else {
+		delete(dst.pages, q)
+		if dst.shared != nil {
+			dst.shared.Clear(uint64(q))
+		}
+	}
+	dst.written.Set(uint64(q))
+	if dst.dirty != nil {
+		dst.dirty.Set(uint64(q))
+	}
+	return nil
+}
+
+// markShared flags slot p as possibly aliased, creating the flag set on the
+// space's first share.
+func (as *AddressSpace) markShared(p PFN) {
+	if as.shared == nil {
+		as.shared = NewBitmap(uint64(as.npages))
+	}
+	as.shared.Set(uint64(p))
 }
 
 // Read copies len(buf) bytes starting at a into buf. Unwritten memory reads
@@ -185,8 +241,7 @@ func (as *AddressSpace) CollectDirty() []PFN {
 	if as.dirty == nil {
 		return nil
 	}
-	var out []PFN
-	as.dirty.ForEach(func(i uint64) { out = append(out, PFN(i)) })
+	out := as.dirty.PFNs()
 	as.dirty.Reset()
 	return out
 }
@@ -196,11 +251,8 @@ func (as *AddressSpace) StopDirtyLog() { as.dirty = nil }
 
 // WrittenPages returns every frame ever written, the working set migration's
 // first pass must ship.
-func (as *AddressSpace) WrittenPages() []PFN {
-	var out []PFN
-	as.written.ForEach(func(i uint64) { out = append(out, PFN(i)) })
-	return out
-}
+func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }
 
-// ResidentPages returns the number of frames with backing storage allocated.
+// ResidentPages returns the number of slots with backing storage; slots
+// aliasing one shared frame each count.
 func (as *AddressSpace) ResidentPages() int { return len(as.pages) }

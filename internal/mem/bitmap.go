@@ -92,6 +92,18 @@ func (b *Bitmap) ForEach(fn func(i uint64)) {
 	}
 }
 
+// PFNs returns the set bits as page frame numbers, in ascending order, in a
+// slice sized by Count. It returns nil when no bit is set.
+func (b *Bitmap) PFNs() []PFN {
+	n := b.Count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]PFN, 0, n)
+	b.ForEach(func(i uint64) { out = append(out, PFN(i)) })
+	return out
+}
+
 // Reset clears every bit. Allocated chunks are zeroed in place and kept, so
 // a dirty log drained every pre-copy round reuses the chunks its working set
 // already touched.

@@ -247,6 +247,15 @@ func checkAgainstRef(t *testing.T, step string, b *Bitmap, r *refBitmap, probes 
 			t.Fatalf("%s: ForEach yielded %d, which is not set", step, i)
 		}
 	}
+	pfns := b.PFNs()
+	if len(pfns) != len(seen) || cap(pfns) != len(seen) {
+		t.Fatalf("%s: PFNs has len %d cap %d, want both %d", step, len(pfns), cap(pfns), len(seen))
+	}
+	for k, i := range seen {
+		if pfns[k] != PFN(i) {
+			t.Fatalf("%s: PFNs[%d]=%d, want %d", step, k, pfns[k], i)
+		}
+	}
 }
 
 // TestBitmapMatchesReference drives random Set/Clear/Reset/Or sequences

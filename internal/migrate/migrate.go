@@ -262,21 +262,17 @@ func mergePFNs(a, b []mem.PFN) []mem.PFN {
 }
 
 // copyPages materializes the transfer into the destination (when present)
-// and accounts it.
+// and accounts it. Pages move by sharing the source's frames copy-on-write,
+// so the destination reads the bytes the source held at send time.
 func (p *Plan) copyPages(pages []mem.PFN, rep *Report) error {
 	rep.PagesSent += uint64(len(pages))
 	rep.BytesSent += uint64(len(pages)) * mem.PageSize
 	if p.Dest == nil {
 		return nil
 	}
-	buf := make([]byte, mem.PageSize)
-	src := p.VM.Memory()
-	dst := p.Dest.Memory()
+	src, dst := p.VM.Memory(), p.Dest.Memory()
 	for _, pg := range pages {
-		if err := src.Read(pg.Base(), buf); err != nil {
-			return err
-		}
-		if err := dst.Write(pg.Base(), buf); err != nil {
+		if err := src.SharePageTo(dst, pg); err != nil {
 			return err
 		}
 	}

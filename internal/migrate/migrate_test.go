@@ -150,6 +150,33 @@ func TestMigrationVPWithoutCapabilityLosesDMAPages(t *testing.T) {
 	}
 }
 
+// TestResendCleanPageAllocFree holds that re-sending an already-sent, clean
+// page through the guest-memory view allocates nothing: the EPT chain is
+// already mapped, the dirty log's chunk exists and the frame is shared
+// again, not copied. A fallback to copying would allocate a frame.
+func TestResendCleanPageAllocFree(t *testing.T) {
+	r := buildRig(t, 0)
+	src, dst := r.l2.Memory(), r.dst.Memory()
+	const pg = mem.PFN(9)
+	if err := src.WriteU64(pg.Base(), 42); err != nil {
+		t.Fatal(err)
+	}
+	r.dst.StartDirtyLog()
+	if err := src.SharePageTo(dst, pg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := src.SharePageTo(dst, pg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("re-sending a clean page made %v allocations, want 0", n)
+	}
+	if got, err := dst.ReadU64(pg.Base()); err != nil || got != 42 {
+		t.Fatalf("destination reads %d (err %v), want 42", got, err)
+	}
+}
+
 func TestMigrationPhysicalPassthroughRefused(t *testing.T) {
 	m := machine.MustNew(machine.Config{Name: "pt", CPUs: 10, MemoryBytes: 64 << 30, Caps: vmx.HardwareCaps, NICVFs: 2})
 	host := hyper.NewHost(m, hyper.KVM{})

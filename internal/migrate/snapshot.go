@@ -31,26 +31,6 @@ func Snapshot(vm *hyper.VM, d *core.DVH) ([]byte, error) {
 			return nil, fmt.Errorf("migrate: cannot snapshot %s: physical device %s assigned", vm.Name, dev.Name)
 		}
 	}
-	var buf bytes.Buffer
-	buf.Write(snapshotMagic[:])
-	pages := vm.WrittenPages()
-	if err := binary.Write(&buf, binary.LittleEndian, uint64(vm.NumPages)); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint64(len(pages))); err != nil {
-		return nil, err
-	}
-	gm := vm.Memory()
-	page := make([]byte, mem.PageSize)
-	for _, p := range pages {
-		if err := binary.Write(&buf, binary.LittleEndian, uint64(p)); err != nil {
-			return nil, err
-		}
-		if err := gm.Read(p.Base(), page); err != nil {
-			return nil, err
-		}
-		buf.Write(page)
-	}
 	var dvhState []byte
 	if d != nil && vm.Level >= 2 {
 		var err error
@@ -59,11 +39,25 @@ func Snapshot(vm *hyper.VM, d *core.DVH) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(dvhState))); err != nil {
-		return nil, err
+	// One exactly sized buffer: header, (pfn, page) records, DVH trailer.
+	pages := vm.WrittenPages()
+	const header, record = len(snapshotMagic) + 8 + 8, 8 + mem.PageSize
+	out := make([]byte, header+len(pages)*record+4+len(dvhState))
+	copy(out, snapshotMagic[:])
+	binary.LittleEndian.PutUint64(out[8:], uint64(vm.NumPages))
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(pages)))
+	gm := vm.Memory()
+	off := header
+	for _, p := range pages {
+		binary.LittleEndian.PutUint64(out[off:], uint64(p))
+		if err := gm.Read(p.Base(), out[off+8:off+record]); err != nil {
+			return nil, err
+		}
+		off += record
 	}
-	buf.Write(dvhState)
-	return buf.Bytes(), nil
+	binary.LittleEndian.PutUint32(out[off:], uint32(len(dvhState)))
+	copy(out[off+4:], dvhState)
+	return out, nil
 }
 
 // RestoreSnapshot materializes a snapshot into a destination VM of at least

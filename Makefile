@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles check clean
+.PHONY: all build fmt vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles check clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -72,13 +76,13 @@ golden:
 profiles:
 	$(GO) test ./internal/profile/ -count=1
 
-# check is the full gate: everything must build, vet clean, lint clean
+# check is the full gate: everything must build, be gofmt-clean, vet clean, lint clean
 # under nvlint, pass the test suite under the race detector (the parallel
 # harness runs Worlds on multiple goroutines, so -race is part of tier 1,
 # not an extra), survive a fuzz smoke pass over the invariant-checker
 # targets, hold the committed benchmark baseline (bench-compare), and pass
 # the per-profile calibration sweep (profiles).
-check: build vet lint race fuzz-smoke bench-compare profiles
+check: build fmt vet lint race fuzz-smoke bench-compare profiles
 
 clean:
 	$(GO) clean ./...

@@ -80,8 +80,8 @@ func TestInServiceMasksUntilEOI(t *testing.T) {
 	// vector in service, same-or-lower-class vectors stay held in the IRR
 	// until EOI — the regression the old TPR-only Ack allowed through.
 	l := NewLAPIC(0)
-	l.Deliver(VectorTimer)      // 236: class 14
-	l.Deliver(VectorVirtioIRQ)  // 41: class 2
+	l.Deliver(VectorTimer)     // 236: class 14
+	l.Deliver(VectorVirtioIRQ) // 41: class 2
 	v, ok := l.Ack()
 	if !ok || v != VectorTimer {
 		t.Fatalf("Ack = %d,%v", v, ok)

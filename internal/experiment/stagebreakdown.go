@@ -112,13 +112,3 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 	}
 	return b.String()
 }
-
-// StageBreakdownOf finds one row.
-func StageBreakdownOf(rows []StageBreakdownRow, micro, config string) (StageBreakdownRow, bool) {
-	for _, r := range rows {
-		if r.Micro == micro && r.Config == config {
-			return r, true
-		}
-	}
-	return StageBreakdownRow{}, false
-}

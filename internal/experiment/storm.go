@@ -73,13 +73,3 @@ func FormatStorms(rows []StormRow) string {
 	}
 	return b.String()
 }
-
-// StormOf finds one storm row by name.
-func StormOf(rows []StormRow, name string) (StormRow, bool) {
-	for _, r := range rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return StormRow{}, false
-}

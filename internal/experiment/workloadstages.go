@@ -79,13 +79,3 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 	}
 	return b.String()
 }
-
-// WorkloadStageOf finds one row.
-func WorkloadStageOf(rows []WorkloadStageRow, workloadName, config string) (WorkloadStageRow, bool) {
-	for _, r := range rows {
-		if r.Workload == workloadName && r.Config == config {
-			return r, true
-		}
-	}
-	return WorkloadStageRow{}, false
-}

@@ -3,6 +3,7 @@ package hyper
 import (
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/virtio"
 )
 
 // This file holds the virtio backend paths the pipeline's emulate, forward
@@ -19,20 +20,20 @@ func (w *World) backendWork(v *VCPU, dev *AssignedDevice, provider int) (sim.Cyc
 	stats.ChargeLevel(provider, c.VirtioBackendWork)
 	stats.Inc(trace.CounterVirtioKicks, 1)
 
-	// Move real bytes when rings are wired up (examples and integration
-	// tests); workload simulations kick with empty rings and pay cost only.
+	// Move real bytes when rings are wired up (only tests attach queues);
+	// workload simulations kick with empty rings and pay cost only.
 	dma := dev.DMAView
 	if dma == nil {
 		dma = dev.VM.Memory()
 	}
-	if dev.Net != nil && dev.Net.Queue(virtioTXQueue) != nil {
-		//nvlint:ignore hotalloc ring processing runs only with wired rings (examples/integration tests); workload kicks see empty rings
+	if dev.Net != nil && dev.Net.Queue(virtio.NetTXQueue) != nil {
+		//nvlint:ignore hotalloc ring processing runs only with rings that tests attach; workload kicks see empty rings
 		if _, err := dev.Net.Transmit(dma); err != nil {
 			return 0, err
 		}
 	}
 	if dev.Blk != nil && dev.Blk.Queue(0) != nil {
-		//nvlint:ignore hotalloc ring processing runs only with wired rings (examples/integration tests); workload kicks see empty rings
+		//nvlint:ignore hotalloc ring processing runs only with rings that tests attach; workload kicks see empty rings
 		if _, err := dev.Blk.ProcessRequests(dma); err != nil {
 			return 0, err
 		}
@@ -50,9 +51,6 @@ func (w *World) backendWork(v *VCPU, dev *AssignedDevice, provider int) (sim.Cyc
 	}
 	return cost + kick, nil
 }
-
-// virtioTXQueue mirrors virtio.NetTXQueue without importing it here.
-const virtioTXQueue = 1
 
 // HostBackendKick runs the host-side backend for a host-provided device on
 // behalf of an interceptor (DVH virtual-passthrough doorbell handling).

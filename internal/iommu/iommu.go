@@ -7,8 +7,9 @@
 // The asymmetry the paper exploits lives one level up: with
 // virtual-passthrough, only the *L1 virtual IOMMU's* table is consulted on
 // the data path, because the host hypervisor folds the whole vIOMMU chain
-// into it as a combined shadow table (Figure 6). Package core implements that
-// folding with mem.PageTable.Combine; this package provides the unit itself.
+// into it as a combined shadow table (Figure 6). Package core builds that
+// shadow lazily, one page at a time, in VPState.ensureShadow; this package
+// provides the unit itself.
 package iommu
 
 import (
@@ -33,7 +34,6 @@ type IOMMU struct {
 	domains map[string]*Domain
 	attach  map[pci.Address]*Domain
 	irt     []irtEntry
-	iotlb   *IOTLB
 }
 
 type irtEntry struct {
@@ -55,7 +55,6 @@ func New(name string, posted bool) *IOMMU {
 		domains: make(map[string]*Domain),
 		attach:  make(map[pci.Address]*Domain),
 		irt:     make([]irtEntry, 256),
-		iotlb:   newIOTLB(256),
 	}
 }
 
@@ -109,18 +108,13 @@ func (u *IOMMU) Unmap(d *Domain, iova mem.PFN) bool {
 	return d.Table.Unmap(iova)
 }
 
-// errUnattached builds the blocked-DMA error shared by the translate paths.
-func errUnattached(u *IOMMU, fn *pci.Function) error {
-	return fmt.Errorf("iommu %s: DMA from unattached device %s blocked", u.name, fn.Name)
-}
-
 // Translate resolves a DMA access from a device. It returns the translated
 // address and the number of page-table levels the walk touched (the cost
 // driver for software emulation of the unit).
 func (u *IOMMU) Translate(fn *pci.Function, a mem.Addr, access mem.Perm) (mem.Addr, int, error) {
 	d, ok := u.attach[fn.Addr]
 	if !ok {
-		return 0, 0, errUnattached(u, fn)
+		return 0, 0, fmt.Errorf("iommu %s: DMA from unattached device %s blocked", u.name, fn.Name)
 	}
 	w := d.Table.Lookup(mem.PageOf(a), access)
 	if !w.Present {

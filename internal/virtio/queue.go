@@ -31,9 +31,8 @@ const (
 
 	descFlagNext  = 1 << 0
 	descFlagWrite = 1 << 1 // device-writable buffer
-	// descFlagIndirect marks a descriptor whose buffer *is* a table of
-	// descriptors — one ring slot carrying an arbitrarily long chain, the
-	// VIRTIO_F_INDIRECT_DESC feature drivers use for large requests.
+	// descFlagIndirect is VIRTIO_F_INDIRECT_DESC's flag. No device offers
+	// that feature, so a descriptor carrying it is rejected.
 	descFlagIndirect = 1 << 2
 )
 
@@ -91,7 +90,6 @@ type Descriptor struct {
 	Len         uint32
 	DeviceWrite bool
 	hasNext     bool
-	indirect    bool
 	next        uint16
 }
 
@@ -110,48 +108,16 @@ func (q *Queue) readDesc(i uint16) (Descriptor, error) {
 	l := uint32(b[8]) | uint32(b[9])<<8 | uint32(b[10])<<16 | uint32(b[11])<<24
 	flags := uint16(b[12]) | uint16(b[13])<<8
 	next := uint16(b[14]) | uint16(b[15])<<8
+	if flags&descFlagIndirect != 0 {
+		return Descriptor{}, fmt.Errorf("virtio: descriptor %d is indirect, a feature the device does not offer", i)
+	}
 	return Descriptor{
 		Addr:        mem.Addr(addr),
 		Len:         l,
 		DeviceWrite: flags&descFlagWrite != 0,
 		hasNext:     flags&descFlagNext != 0,
-		indirect:    flags&descFlagIndirect != 0,
 		next:        next,
 	}, nil
-}
-
-// readIndirectTable decodes the descriptor table an indirect descriptor
-// points at.
-func (q *Queue) readIndirectTable(d Descriptor) ([]Descriptor, error) {
-	if d.Len == 0 || d.Len%descSize != 0 {
-		return nil, fmt.Errorf("virtio: indirect table length %d not a descriptor multiple", d.Len)
-	}
-	n := int(d.Len / descSize)
-	if n > 1024 {
-		return nil, fmt.Errorf("virtio: indirect table of %d descriptors exceeds sanity bound", n)
-	}
-	out := make([]Descriptor, 0, n)
-	buf := make([]byte, descSize)
-	for i := 0; i < n; i++ {
-		if err := q.dma.Read(d.Addr+mem.Addr(i*descSize), buf); err != nil {
-			return nil, err
-		}
-		var addr uint64
-		for k := 7; k >= 0; k-- {
-			addr = addr<<8 | uint64(buf[k])
-		}
-		l := uint32(buf[8]) | uint32(buf[9])<<8 | uint32(buf[10])<<16 | uint32(buf[11])<<24
-		flags := uint16(buf[12]) | uint16(buf[13])<<8
-		if flags&descFlagIndirect != 0 {
-			return nil, fmt.Errorf("virtio: nested indirect descriptor (spec violation)")
-		}
-		out = append(out, Descriptor{
-			Addr:        mem.Addr(addr),
-			Len:         l,
-			DeviceWrite: flags&descFlagWrite != 0,
-		})
-	}
-	return out, nil
 }
 
 // Chain is a popped descriptor chain: the unit of one I/O request.
@@ -227,15 +193,7 @@ func (q *Queue) Pop() (*Chain, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d.indirect {
-			table, err := q.readIndirectTable(d)
-			if err != nil {
-				return nil, err
-			}
-			c.Descs = append(c.Descs, table...)
-		} else {
-			c.Descs = append(c.Descs, d)
-		}
+		c.Descs = append(c.Descs, d)
 		if !d.hasNext {
 			break
 		}
@@ -324,9 +282,6 @@ func (d *DriverQueue) writeDesc(i uint16, desc Descriptor) error {
 	if desc.hasNext {
 		flags |= descFlagNext
 	}
-	if desc.indirect {
-		flags |= descFlagIndirect
-	}
 	b[12], b[13] = byte(flags), byte(flags>>8)
 	b[14], b[15] = byte(desc.next), byte(desc.next>>8)
 	return d.space.Write(d.desc+mem.Addr(i)*descSize, b[:])
@@ -364,37 +319,6 @@ func (d *DriverQueue) Submit(bufs []Descriptor) (uint16, error) {
 	}
 	d.availIdx++
 	return head, d.space.Write(d.avail+2, []byte{byte(d.availIdx), byte(d.availIdx >> 8)})
-}
-
-// SubmitIndirect publishes a chain through one ring slot: the bufs are
-// encoded as a descriptor table at tableAddr (driver-allocated memory) and a
-// single indirect descriptor referencing it enters the ring. Large requests
-// stop consuming ring slots proportional to their buffer count.
-func (d *DriverQueue) SubmitIndirect(tableAddr mem.Addr, bufs []Descriptor) (uint16, error) {
-	if len(bufs) == 0 {
-		return 0, fmt.Errorf("virtio: empty indirect chain")
-	}
-	buf := make([]byte, descSize)
-	for i, desc := range bufs {
-		for k := 0; k < 8; k++ {
-			buf[k] = byte(uint64(desc.Addr) >> (8 * k))
-		}
-		buf[8], buf[9], buf[10], buf[11] = byte(desc.Len), byte(desc.Len>>8), byte(desc.Len>>16), byte(desc.Len>>24)
-		var flags uint16
-		if desc.DeviceWrite {
-			flags |= descFlagWrite
-		}
-		buf[12], buf[13] = byte(flags), byte(flags>>8)
-		buf[14], buf[15] = 0, 0
-		if err := d.space.Write(tableAddr+mem.Addr(i*descSize), buf); err != nil {
-			return 0, err
-		}
-	}
-	return d.Submit([]Descriptor{{
-		Addr:     tableAddr,
-		Len:      uint32(len(bufs) * descSize),
-		indirect: true,
-	}})
 }
 
 // Completion is one reaped used-ring entry.

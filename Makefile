@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles check clean
+.PHONY: all build fmt vet test race bench bench-compare lint fuzz-smoke fuzz golden profiles perfbench check clean
 
 all: check
 
@@ -76,13 +76,22 @@ golden:
 profiles:
 	$(GO) test ./internal/profile/ -count=1
 
+# perfbench vets and tests the end-to-end benchmark module. It is a separate
+# module in an underscore directory, so `go build ./...` and `go test ./...`
+# skip it; without this target a mem or experiment API removal could break
+# the benchmark unseen. It builds against the parent module through a
+# replace directive and needs no network.
+perfbench:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the full gate: everything must build, be gofmt-clean, vet clean, lint clean
 # under nvlint, pass the test suite under the race detector (the parallel
 # harness runs Worlds on multiple goroutines, so -race is part of tier 1,
 # not an extra), survive a fuzz smoke pass over the invariant-checker
 # targets, hold the committed benchmark baseline (bench-compare), and pass
-# the per-profile calibration sweep (profiles).
-check: build fmt vet lint race fuzz-smoke bench-compare profiles
+# the per-profile calibration sweep (profiles), and keep the end-to-end
+# benchmark module building (perfbench).
+check: build fmt vet lint race fuzz-smoke bench-compare profiles perfbench
 
 clean:
 	$(GO) clean ./...

@@ -166,3 +166,20 @@ func TestListProfiles(t *testing.T) {
 		})
 	}
 }
+
+// TestNvbenchUnknownExperimentRunsNothing: an unknown -experiment name fails
+// before anything runs, even next to a valid selector, so a typo never costs
+// a full table run or leaves partial output on stdout.
+func TestNvbenchUnknownExperimentRunsNothing(t *testing.T) {
+	dir := buildCLIs(t)
+	stdout, stderr, code := runCLI(t, filepath.Join(dir, "nvbench"), cleanEnv(), "-table", "3", "-experiment", "typo")
+	if code == 0 {
+		t.Fatalf("nvbench -table 3 -experiment typo exited 0")
+	}
+	if stdout != "" {
+		t.Errorf("nvbench printed %d bytes before rejecting the name:\n%s", len(stdout), stdout)
+	}
+	if !strings.Contains(stderr, `unknown experiment "typo"`) || !strings.Contains(stderr, "stages-sweep") {
+		t.Errorf("stderr does not name the bad experiment and the valid ones: %s", stderr)
+	}
+}

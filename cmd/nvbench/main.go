@@ -22,10 +22,36 @@ import (
 	"repro/internal/report"
 )
 
+// experiments are the named runs -experiment selects, in the order -all
+// prints them. This table is the only list of names: it builds the flag
+// help and the unknown-name error, and drives dispatch.
+var experiments = []struct {
+	name, title string
+	fn          func() (string, error)
+	inAll       bool
+}{
+	{"migration", "Migration (Section 4)", migration, true},
+	{"depth", "Depth sweep (Table 3 extended beyond the paper)", depthSweep, true},
+	{"breakdown", "Per-mechanism cycle attribution (the cause behind Figure 8)", breakdown, true},
+	{"stages", "Per-stage cycle attribution of Table 3 (the pipeline view)", stageBreakdown, true},
+	{"stages-sweep", "Per-stage cycle attribution across calibration profiles", stagesSweep, false},
+	{"workload-stages", "Per-workload stage attribution (Figure 7 application mixes)", workloadStages, true},
+	{"storms", "Delivery storms (timer-storm, ipi-flood)", storms, true},
+	{"latency", "Per-transaction latency tails", latency, true},
+}
+
+func experimentNames(sep string) string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, sep)
+}
+
 func main() {
 	table := flag.Int("table", 0, "regenerate a table (3)")
 	figure := flag.Int("figure", 0, "regenerate a figure (7, 8, 9, 10)")
-	exp := flag.String("experiment", "", "regenerate a named experiment (migration | depth | breakdown | stages | stages-sweep | workload-stages | storms | latency)")
+	exp := flag.String("experiment", "", "regenerate a named experiment ("+experimentNames(" | ")+")")
 	all := flag.Bool("all", false, "regenerate everything")
 	par := flag.Int("parallel", 0, "worker goroutines for experiment cells: 0 = auto (NVSIM_PARALLEL or GOMAXPROCS), 1 = sequential")
 	profName := profile.Flag()
@@ -47,17 +73,6 @@ func main() {
 	default:
 		fatalf("unknown -format %q (valid: table, chart, csv)", format)
 	}
-
-	if !*all && *table == 0 && *figure == 0 && *exp == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	fmt.Printf("calibration profile: %s — %s\n  anchors: %s\n\n", prof.Name, prof.Description, prof.AnchorString())
-	if *all || *table == 3 {
-		run("Table 3: microbenchmark performance in CPU cycles", table3)
-	} else if *table != 0 {
-		fatalf("unknown table %d (the paper's reproducible table is 3)", *table)
-	}
 	figures := map[int]func() (string, error){
 		7: func() (string, error) {
 			return appFigure("Figure 7: application performance (2 levels)", experiment.Figure7)
@@ -72,47 +87,40 @@ func main() {
 			return appFigure("Figure 10: application performance, Xen on KVM", experiment.Figure10)
 		},
 	}
+
+	if !*all && *table == 0 && *figure == 0 && *exp == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	// Reject every bad selector before anything prints.
+	if *table != 0 && *table != 3 {
+		fatalf("unknown table %d (the paper's reproducible table is 3)", *table)
+	}
+	if _, ok := figures[*figure]; *figure != 0 && !ok {
+		fatalf("unknown figure %d (reproducible figures: 7, 8, 9, 10)", *figure)
+	}
+	known := *exp == ""
+	for _, e := range experiments {
+		known = known || e.name == *exp
+	}
+	if !known {
+		fatalf("unknown experiment %q (available: %s)", *exp, experimentNames(", "))
+	}
+	fmt.Printf("calibration profile: %s — %s\n  anchors: %s\n\n", prof.Name, prof.Description, prof.AnchorString())
+	if *all || *table == 3 {
+		run("Table 3: microbenchmark performance in CPU cycles", table3)
+	}
 	if *all {
 		for _, n := range []int{7, 8, 9, 10} {
 			run("", figures[n])
 		}
 	} else if *figure != 0 {
-		fn, ok := figures[*figure]
-		if !ok {
-			fatalf("unknown figure %d (reproducible figures: 7, 8, 9, 10)", *figure)
+		run("", figures[*figure])
+	}
+	for _, e := range experiments {
+		if (*all && e.inAll) || e.name == *exp {
+			run(e.title, e.fn)
 		}
-		run("", fn)
-	}
-	if *all || *exp == "migration" {
-		run("Migration (Section 4)", migration)
-	}
-	if *all || *exp == "depth" {
-		run("Depth sweep (Table 3 extended beyond the paper)", depthSweep)
-	}
-	if *all || *exp == "breakdown" {
-		run("Per-mechanism cycle attribution (the cause behind Figure 8)", breakdown)
-	}
-	if *all || *exp == "stages" {
-		run("Per-stage cycle attribution of Table 3 (the pipeline view)", stageBreakdown)
-	}
-	if *exp == "stages-sweep" {
-		run("Per-stage cycle attribution across calibration profiles", stagesSweep)
-	}
-	if *all || *exp == "workload-stages" {
-		run("Per-workload stage attribution (Figure 7 application mixes)", workloadStages)
-	}
-	if *all || *exp == "storms" {
-		run("Delivery storms (timer-storm, ipi-flood)", storms)
-	}
-	if *all || *exp == "latency" {
-		run("Per-transaction latency tails", latency)
-	}
-	valid := map[string]bool{
-		"migration": true, "depth": true, "breakdown": true, "stages": true,
-		"stages-sweep": true, "workload-stages": true, "storms": true, "latency": true,
-	}
-	if !*all && *exp != "" && !valid[*exp] {
-		fatalf("unknown experiment %q (available: migration, depth, breakdown, stages, stages-sweep, workload-stages, storms, latency)", *exp)
 	}
 }
 

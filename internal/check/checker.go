@@ -27,6 +27,7 @@ import (
 	"repro/internal/apic"
 	"repro/internal/hyper"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Violation is one observed invariant breach.
@@ -50,7 +51,7 @@ const (
 
 // frame snapshots the stats sink at a boundary entry.
 type frame struct {
-	b       hyper.Boundary
+	b       trace.Boundary
 	op      hyper.Op
 	cycles  sim.Cycles
 	hw      uint64
@@ -115,7 +116,7 @@ func (c *Checker) violate(invariant, format string, args ...any) {
 }
 
 // Begin implements hyper.InvariantChecker.
-func (c *Checker) Begin(w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyper.Op) int {
+func (c *Checker) Begin(w *hyper.World, v *hyper.VCPU, b trace.Boundary, op hyper.Op) int {
 	s := w.Host.Machine.Stats
 	//nvlint:ignore hotalloc frame stack capacity is warm after the first op at each nesting depth
 	c.frames = append(c.frames, frame{
@@ -129,7 +130,7 @@ func (c *Checker) Begin(w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hype
 }
 
 // End implements hyper.InvariantChecker.
-func (c *Checker) End(token int, w *hyper.World, v *hyper.VCPU, b hyper.Boundary, op hyper.Op, cost sim.Cycles, err error) {
+func (c *Checker) End(token int, w *hyper.World, v *hyper.VCPU, b trace.Boundary, op hyper.Op, cost sim.Cycles, err error) {
 	if token != len(c.frames)-1 || token < 0 {
 		//nvlint:ignore hotalloc violation path: formatting the breach report may allocate
 		c.violate("frame-balance", "End(%v) token %d does not match frame depth %d", b, token, len(c.frames))
@@ -198,7 +199,7 @@ func (c *Checker) TimerArmed(w *hyper.World, v *hyper.VCPU, hostDeadline uint64)
 func (c *Checker) pendingTimerProgram() (uint64, bool) {
 	for i := len(c.frames) - 1; i >= 0; i-- {
 		f := &c.frames[i]
-		if f.b == hyper.BoundaryExecute && f.op.Kind == hyper.OpTimerProgram {
+		if f.b == trace.BoundaryExecute && f.op.Kind == hyper.OpTimerProgram {
 			return f.op.Deadline, true
 		}
 	}

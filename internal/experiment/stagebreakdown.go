@@ -20,7 +20,7 @@ type StageBreakdownRow struct {
 	Config string
 	// Total is the Table 3 value: average cycles per operation.
 	Total sim.Cycles
-	// Stages holds the per-stage share of Total, indexed like trace.StageName.
+	// Stages holds the per-stage share of Total, indexed by trace.Stage.
 	Stages [trace.NumStages]sim.Cycles
 	// Stats is the cell's raw per-stage attribution (histograms included),
 	// for merged views; cells are independent Worlds, so rows merge cleanly.
@@ -91,7 +91,7 @@ func FormatStageBreakdown(rows []StageBreakdownRow) string {
 	b.WriteString("Per-stage cycle attribution of Table 3 (cycles/op; stages sum to the Table 3 value)\n")
 	fmt.Fprintf(&b, "%-14s %-12s %10s", "benchmark", "config", "total")
 	for s := 0; s < trace.NumStages; s++ {
-		fmt.Fprintf(&b, " %10s", trace.StageName(s))
+		fmt.Fprintf(&b, " %10s", trace.Stage(s))
 	}
 	b.WriteByte('\n')
 	group := ""

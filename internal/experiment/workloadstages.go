@@ -20,7 +20,7 @@ type WorkloadStageRow struct {
 	Config   string
 	// Total is the run's virtualization cycles: the sum of the stage shares.
 	Total sim.Cycles
-	// Stages holds the per-stage share of Total, indexed like trace.StageName.
+	// Stages holds the per-stage share of Total, indexed by trace.Stage.
 	Stages [trace.NumStages]sim.Cycles
 }
 
@@ -58,7 +58,7 @@ func FormatWorkloadStageBreakdown(rows []WorkloadStageRow) string {
 	b.WriteString("Per-workload stage attribution over the Figure 7 mixes (virtualization cycles per run)\n")
 	fmt.Fprintf(&b, "%-16s %-22s %12s", "workload", "config", "total")
 	for s := 0; s < trace.NumStages; s++ {
-		fmt.Fprintf(&b, " %10s", trace.StageName(s))
+		fmt.Fprintf(&b, " %10s", trace.Stage(s))
 	}
 	b.WriteByte('\n')
 	group := ""

@@ -1,46 +1,9 @@
 package hyper
 
-import "repro/internal/sim"
-
-// Boundary identifies which engine entry point an invariant-checker frame
-// covers. Every public World entry point opens a frame on entry and closes it
-// on return; nested entries (a forwarded exit re-entering Execute, a wake
-// inside an IPI) stack.
-type Boundary uint8
-
-const (
-	// BoundaryExecute is a guest operation entering World.Execute.
-	BoundaryExecute Boundary = iota
-	// BoundaryTimerIRQ is a fired timer interrupt being delivered.
-	BoundaryTimerIRQ
-	// BoundaryDeviceIRQ is a device completion interrupt being delivered.
-	BoundaryDeviceIRQ
-	// BoundaryDeviceRX is inbound device data being processed.
-	BoundaryDeviceRX
-	// BoundaryWake is an idle vCPU being woken.
-	BoundaryWake
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
-
-// boundaryCount is the number of boundaries (for per-boundary ledgers); it
-// must stay in lockstep with trace.NumBoundaries (compile-asserted in
-// pipeline.go).
-const boundaryCount = int(BoundaryWake) + 1
-
-func (b Boundary) String() string {
-	switch b {
-	case BoundaryExecute:
-		return "Execute"
-	case BoundaryTimerIRQ:
-		return "DeliverTimerIRQ"
-	case BoundaryDeviceIRQ:
-		return "DeliverDeviceIRQ"
-	case BoundaryDeviceRX:
-		return "DeviceRX"
-	case BoundaryWake:
-		return "WakeIfIdle"
-	}
-	return "Boundary(?)"
-}
 
 // InvariantChecker observes the engine/hypervisor boundary so an external
 // validator (internal/check) can verify conservation laws after every
@@ -53,9 +16,9 @@ func (b Boundary) String() string {
 type InvariantChecker interface {
 	// Begin opens a frame when a boundary is entered; the returned token is
 	// handed back to the matching End.
-	Begin(w *World, v *VCPU, b Boundary, op Op) int
+	Begin(w *World, v *VCPU, b trace.Boundary, op Op) int
 	// End closes the frame with the boundary's returned cost and error.
-	End(token int, w *World, v *VCPU, b Boundary, op Op, cost sim.Cycles, err error)
+	End(token int, w *World, v *VCPU, b trace.Boundary, op Op, cost sim.Cycles, err error)
 	// TimerArmed reports a DVH virtual-timer arm with the host-TSC deadline
 	// (the guest-programmed deadline plus the combined TSC-offset chain).
 	TimerArmed(w *World, v *VCPU, hostDeadline uint64)

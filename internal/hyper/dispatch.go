@@ -44,7 +44,7 @@ func reasonFor(op Op) vmx.ExitReason {
 // exit transaction and flows it through the pipeline stages.
 func (w *World) Execute(v *VCPU, op Op) (sim.Cycles, error) {
 	var tx ExitContext
-	return w.transact(&tx, BoundaryExecute, v, op, nil)
+	return w.transact(&tx, trace.BoundaryExecute, v, op, nil)
 }
 
 // dispatch drives an Execute transaction through the pipeline: operations
@@ -60,7 +60,7 @@ func (w *World) dispatch(tx *ExitContext) error {
 	// Every remaining path takes a physical exit into L0.
 	stats := w.Host.Machine.Stats
 	stats.RecordHardwareExit(tx.Reason)
-	tx.add(StageRoute, w.Costs.HwExit)
+	tx.add(trace.StageRoute, w.Costs.HwExit)
 	stats.ChargeLevel(0, w.Costs.HwExit)
 
 	stack, err := w.stack(tx.V)
@@ -95,7 +95,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 	case OpMemTouch:
 		if _, miss := w.faultOwner(tx.V, tx.Op.Addr); !miss {
 			stats.ChargeGuest(c.TLBHitCost)
-			tx.add(StageFastPath, c.TLBHitCost)
+			tx.add(trace.StageFastPath, c.TLBHitCost)
 			return true, nil
 		}
 	case OpDevNotify:
@@ -109,7 +109,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 			stats.Inc(trace.CounterPassthroughKicks, 1)
 			w.Host.Machine.NIC.TxFrames++
 			stats.ChargeGuest(c.MMIODirect)
-			tx.add(StageFastPath, c.MMIODirect)
+			tx.add(trace.StageFastPath, c.MMIODirect)
 			return true, nil
 		}
 	case OpEOI:
@@ -117,7 +117,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 		if tx.V.VMCS.ControlSet(vmx.FieldProcBasedControls2, vmx.Proc2APICRegisterVirt) {
 			tx.V.LAPIC.EOI()
 			stats.ChargeGuest(c.APICvEOICost)
-			tx.add(StageFastPath, c.APICvEOICost)
+			tx.add(trace.StageFastPath, c.APICvEOICost)
 			return true, nil
 		}
 	default:
@@ -145,7 +145,7 @@ func (w *World) stageEmulate(tx *ExitContext) error {
 	if err != nil {
 		return err
 	}
-	tx.add(StageEmulate, c.HostDispatch+work+c.HwEntry)
+	tx.add(trace.StageEmulate, c.HostDispatch+work+c.HwEntry)
 	return nil
 }
 
@@ -159,7 +159,7 @@ func (w *World) stageForward(tx *ExitContext, stack []*Hypervisor) error {
 	if err != nil {
 		return err
 	}
-	tx.add(StageForward, fwd+eff)
+	tx.add(trace.StageForward, fwd+eff)
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package hyper
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
 
 // ExecuteLedger is Execute with the settled transaction's per-stage cost
 // ledger exposed — test-only access to the otherwise stack-local ExitContext,
@@ -9,8 +12,8 @@ import "repro/internal/sim"
 // sum(StageCost(s)) == Cost for every transaction the matrix runs.
 func (w *World) ExecuteLedger(v *VCPU, op Op) ([]sim.Cycles, sim.Cycles, error) {
 	var tx ExitContext
-	cost, err := w.transact(&tx, BoundaryExecute, v, op, nil)
-	ledger := make([]sim.Cycles, stageCount)
+	cost, err := w.transact(&tx, trace.BoundaryExecute, v, op, nil)
+	ledger := make([]sim.Cycles, trace.NumStages)
 	copy(ledger, tx.ledger[:])
 	return ledger, cost, err
 }

@@ -21,7 +21,7 @@ import (
 // path first.
 func (w *World) DeliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	return w.transact(&tx, BoundaryTimerIRQ, v, Op{}, nil)
+	return w.transact(&tx, trace.BoundaryTimerIRQ, v, Op{}, nil)
 }
 
 func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
@@ -69,7 +69,7 @@ func (w *World) deliverTimerIRQ(v *VCPU) (sim.Cycles, error) {
 // forwarded HLT exit), which is exactly what DVH virtual idle removes.
 func (w *World) WakeIfIdle(dest *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	return w.transact(&tx, BoundaryWake, dest, Op{}, nil)
+	return w.transact(&tx, trace.BoundaryWake, dest, Op{}, nil)
 }
 
 func (w *World) wakeIfIdle(dest *VCPU) (sim.Cycles, error) {
@@ -108,7 +108,7 @@ func (w *World) wakeLadderCost(idleOwner int, sink walkSink) sim.Cycles {
 // hypervisor level that interposes on it.
 func (w *World) DeliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	return w.transact(&tx, BoundaryDeviceIRQ, target, Op{}, dev)
+	return w.transact(&tx, trace.BoundaryDeviceIRQ, target, Op{}, dev)
 }
 
 func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
@@ -149,7 +149,7 @@ func (w *World) deliverDeviceIRQ(dev *AssignedDevice, target *VCPU) (sim.Cycles,
 // for virtual-passthrough only the host backend runs.
 func (w *World) DeviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {
 	var tx ExitContext
-	return w.transact(&tx, BoundaryDeviceRX, target, Op{}, dev)
+	return w.transact(&tx, trace.BoundaryDeviceRX, target, Op{}, dev)
 }
 
 func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) {

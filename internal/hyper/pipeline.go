@@ -17,73 +17,9 @@ import (
 // bookkeeping (invariant-checker bracketing, the final cost returned to the
 // caller) happens in exactly one place instead of being replicated per entry
 // point, and so that direct-handling backends (DVH, enlightenments) plug into
-// one interceptor chain instead of a hard-coded hook.
-
-// Stage identifies the phase an exit transaction is in. A transaction's
-// stages are ordered — fast-path, intercept, route, emulate or forward,
-// deliver, settle — but not every transaction visits every stage: a TLB hit
-// ends at StageFastPath, a DVH-claimed exit at StageIntercept, and interrupt
-// deliveries enter directly at StageDeliver.
-type Stage uint8
-
-const (
-	// StageFastPath covers operations that complete without a hardware exit:
-	// TLB hits, posted doorbell writes to passthrough devices, APICv-absorbed
-	// EOIs.
-	StageFastPath Stage = iota
-	// StageIntercept consults the registered interceptor chain: the host may
-	// claim a nested VM's exit and handle it directly (paper Figure 1b).
-	StageIntercept
-	// StageRoute resolves which hypervisor level owns the exit.
-	StageRoute
-	// StageEmulate is host-owned handling: the L0 hypervisor emulates the
-	// operation itself.
-	StageEmulate
-	// StageForward reflects the exit up to the owning guest hypervisor,
-	// recursively emulating every privileged instruction its handler runs
-	// (paper Figure 1a — the exit-multiplication engine).
-	StageForward
-	// StageDeliver is the interrupt-delivery side: timer and device IRQ
-	// injection, device receive processing, idle wakes.
-	StageDeliver
-	// StageSettle closes the transaction: the single point where the final
-	// cost is handed back to the caller and the invariant checker observes
-	// the completed boundary.
-	StageSettle
-)
-
-// stageCount is the number of pipeline stages (for per-stage ledgers).
-const stageCount = int(StageSettle) + 1
-
-// The trace package sizes StageStats' fixed tables by mirrored constants so
-// the observability layer stays allocation-free without importing hyper
-// (trace is below hyper in the import graph). These assertions fail to
-// compile if either enum grows without the mirror moving; a test pins the
-// display names too.
-var (
-	_ [trace.NumStages]struct{}     = [stageCount]struct{}{}
-	_ [trace.NumBoundaries]struct{} = [boundaryCount]struct{}{}
-)
-
-func (s Stage) String() string {
-	switch s {
-	case StageFastPath:
-		return "fast-path"
-	case StageIntercept:
-		return "intercept"
-	case StageRoute:
-		return "route"
-	case StageEmulate:
-		return "emulate"
-	case StageForward:
-		return "forward"
-	case StageDeliver:
-		return "deliver"
-	case StageSettle:
-		return "settle"
-	}
-	return "Stage(?)"
-}
+// one interceptor chain instead of a hard-coded hook. The stage and boundary
+// enums are trace.Stage and trace.Boundary, so StageStats sizes its tables
+// by them without importing hyper.
 
 // ownerUnresolved is ExitContext.Owner before StageRoute has run.
 const ownerUnresolved = -1
@@ -105,7 +41,7 @@ type ExitContext struct {
 	// Op is the guest operation; the zero Op for pure delivery boundaries.
 	Op Op
 	// Boundary names the public entry point that opened the transaction.
-	Boundary Boundary
+	Boundary trace.Boundary
 	// Reason is the VM-exit reason for Execute transactions; delivery
 	// transactions record their injection reasons per guestPath call.
 	Reason vmx.ExitReason
@@ -120,20 +56,20 @@ type ExitContext struct {
 	Cost sim.Cycles
 
 	// ledger attributes the accumulated cost to the stage that added it.
-	ledger [stageCount]sim.Cycles
+	ledger [trace.NumStages]sim.Cycles
 }
 
 // add charges cycles to the transaction on behalf of a stage. Stages must
 // pair every add with the matching stats-sink charges so the settle-point
 // invariant — returned cost equals charged cost — holds.
-func (tx *ExitContext) add(s Stage, c sim.Cycles) {
+func (tx *ExitContext) add(s trace.Stage, c sim.Cycles) {
 	tx.Cost += c
 	tx.ledger[s] += c
 }
 
 // StageCost returns the cycles the given stage contributed to the
 // transaction — the per-stage latency breakdown the pipeline exposes.
-func (tx *ExitContext) StageCost(s Stage) sim.Cycles { return tx.ledger[int(s)] }
+func (tx *ExitContext) StageCost(s trace.Stage) sim.Cycles { return tx.ledger[s] }
 
 // transact runs one exit transaction from open to settle, filling tx in
 // place: the caller declares a zero ExitContext on its own frame, so the
@@ -149,7 +85,7 @@ func (tx *ExitContext) StageCost(s Stage) sim.Cycles { return tx.ledger[int(s)] 
 // excuses only on the error path. The world's transaction depth tells an
 // outermost transaction (observed by StageStats) from a nested one, whose
 // cost the enclosing ledger already holds.
-func (w *World) transact(tx *ExitContext, b Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.Cycles, error) {
+func (w *World) transact(tx *ExitContext, b trace.Boundary, v *VCPU, op Op, dev *AssignedDevice) (sim.Cycles, error) {
 	tx.V, tx.Op, tx.Boundary, tx.Owner = v, op, b, ownerUnresolved
 	if v != nil {
 		tx.Level = v.VM.Level
@@ -163,20 +99,20 @@ func (w *World) transact(tx *ExitContext, b Boundary, v *VCPU, op Op, dev *Assig
 	var delivered sim.Cycles
 	var err error
 	switch b {
-	case BoundaryExecute:
+	case trace.BoundaryExecute:
 		tx.Reason = reasonFor(op)
 		err = w.dispatch(tx)
-	case BoundaryTimerIRQ:
+	case trace.BoundaryTimerIRQ:
 		delivered, err = w.deliverTimerIRQ(v)
-	case BoundaryWake:
+	case trace.BoundaryWake:
 		delivered, err = w.wakeIfIdle(v)
-	case BoundaryDeviceIRQ:
+	case trace.BoundaryDeviceIRQ:
 		delivered, err = w.deliverDeviceIRQ(dev, v)
-	case BoundaryDeviceRX:
+	case trace.BoundaryDeviceRX:
 		delivered, err = w.deviceRX(dev, v)
 	}
 	// Execute's stages charge the ledger themselves; delivered is zero there.
-	tx.add(StageDeliver, delivered)
+	tx.add(trace.StageDeliver, delivered)
 
 	w.txDepth--
 	cost := tx.Cost
@@ -206,11 +142,11 @@ func (w *World) transact(tx *ExitContext, b Boundary, v *VCPU, op Op, dev *Assig
 // fixed loops over the stack-resident ledger into fixed-size tables.
 func (w *World) observeStages(tx *ExitContext) {
 	reason := -1
-	if tx.Boundary == BoundaryExecute {
+	if tx.Boundary == trace.BoundaryExecute {
 		reason = tx.Reason.Index()
 	}
 	w.Stages.ObserveSettled(int(tx.Boundary))
-	for s := 0; s < stageCount; s++ {
+	for s := 0; s < trace.NumStages; s++ {
 		if c := tx.ledger[s]; c != 0 {
 			w.Stages.ObserveStage(int(tx.Boundary), reason, s, c)
 		}
@@ -293,10 +229,10 @@ func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
 			stats.RecordHandledExit(tx.Reason, 0)
 			w.Tracer.Record(tx.Reason, tx.Level, 0)
 			stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
-			tx.add(StageIntercept, c.HostDispatch+work+c.HwEntry)
+			tx.add(trace.StageIntercept, c.HostDispatch+work+c.HwEntry)
 			return true, nil
 		}
-		tx.add(StageIntercept, c.DVHCheckWork)
+		tx.add(trace.StageIntercept, c.DVHCheckWork)
 		stats.ChargeLevel(0, c.DVHCheckWork)
 	}
 	return false, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // stubInterceptor is a minimal chain member recording when it fires.
@@ -148,7 +149,7 @@ type spyChecker struct {
 	maxDepth     int
 }
 
-func (s *spyChecker) Begin(w *World, v *VCPU, b Boundary, op Op) int {
+func (s *spyChecker) Begin(w *World, v *VCPU, b trace.Boundary, op Op) int {
 	s.begins++
 	s.open++
 	if s.open > s.maxDepth {
@@ -157,7 +158,7 @@ func (s *spyChecker) Begin(w *World, v *VCPU, b Boundary, op Op) int {
 	return s.begins
 }
 
-func (s *spyChecker) End(token int, w *World, v *VCPU, b Boundary, op Op, cost sim.Cycles, err error) {
+func (s *spyChecker) End(token int, w *World, v *VCPU, b trace.Boundary, op Op, cost sim.Cycles, err error) {
 	s.ends++
 	s.open--
 	s.lastCost, s.lastErr = cost, err
@@ -226,7 +227,7 @@ func TestNestedBoundariesStack(t *testing.T) {
 // depth-2 stack with paravirtual net at each level.
 type boundaryCase struct {
 	name string
-	b    Boundary
+	b    trace.Boundary
 	op   Op
 	// setup prepares the stack before the transaction on its L2 vCPU v.
 	setup func(t *testing.T, w *World, v *VCPU)
@@ -278,7 +279,7 @@ func runBoundaryCase(t *testing.T, tc boundaryCase) {
 			if tx.Cost == 0 {
 				t.Error("aborted transaction held no partial charge; the zero-cost settle is untested")
 			}
-		} else if tc.b == BoundaryExecute && stats.TotalHardwareExits() != hw {
+		} else if tc.b == trace.BoundaryExecute && stats.TotalHardwareExits() != hw {
 			t.Errorf("a transaction failing before the exit recorded %d hardware exits", stats.TotalHardwareExits()-hw)
 		}
 		return
@@ -293,19 +294,19 @@ func runBoundaryCase(t *testing.T, tc boundaryCase) {
 		t.Errorf("checker observed (%v, %v), caller got (%v, nil)", spy.lastCost, spy.lastErr, cost)
 	}
 	var sum sim.Cycles
-	for s := Stage(0); int(s) < stageCount; s++ {
+	for s := trace.Stage(0); int(s) < trace.NumStages; s++ {
 		sum += tx.StageCost(s)
 	}
 	if sum != cost {
 		t.Errorf("stage costs sum to %v, boundary returned %v", sum, cost)
 	}
-	if tc.b == BoundaryExecute {
+	if tc.b == trace.BoundaryExecute {
 		if tx.Owner != 1 {
 			t.Errorf("forwarded hypercall owner = %d, want 1", tx.Owner)
 		}
-	} else if tx.StageCost(StageDeliver) != cost || tx.Owner != ownerUnresolved {
+	} else if tx.StageCost(trace.StageDeliver) != cost || tx.Owner != ownerUnresolved {
 		t.Errorf("delivery charged %v of %v under StageDeliver with owner %d; want all of it, unrouted",
-			tx.StageCost(StageDeliver), cost, tx.Owner)
+			tx.StageCost(trace.StageDeliver), cost, tx.Owner)
 	}
 }
 
@@ -316,22 +317,22 @@ func runBoundaryCase(t *testing.T, tc boundaryCase) {
 // route.
 func TestExitContextLedger(t *testing.T) {
 	var tx ExitContext
-	tx.add(StageRoute, 10)
-	tx.add(StageForward, 700)
-	tx.add(StageForward, 300)
-	if tx.StageCost(StageForward) != 1000 {
-		t.Errorf("StageCost(forward) = %v, want 1000", tx.StageCost(StageForward))
+	tx.add(trace.StageRoute, 10)
+	tx.add(trace.StageForward, 700)
+	tx.add(trace.StageForward, 300)
+	if tx.StageCost(trace.StageForward) != 1000 {
+		t.Errorf("StageCost(forward) = %v, want 1000", tx.StageCost(trace.StageForward))
 	}
 	if tx.Cost != 1010 {
 		t.Errorf("ledger total = %v, want 1010", tx.Cost)
 	}
 	idle := func(t *testing.T, w *World, v *VCPU) { v.Idle = true }
 	for _, tc := range []boundaryCase{
-		{name: "execute", b: BoundaryExecute, op: Hypercall()},
-		{name: "timer-irq", b: BoundaryTimerIRQ, setup: idle},
-		{name: "wake", b: BoundaryWake, setup: idle},
-		{name: "device-irq", b: BoundaryDeviceIRQ},
-		{name: "device-rx", b: BoundaryDeviceRX},
+		{name: "execute", b: trace.BoundaryExecute, op: Hypercall()},
+		{name: "timer-irq", b: trace.BoundaryTimerIRQ, setup: idle},
+		{name: "wake", b: trace.BoundaryWake, setup: idle},
+		{name: "device-irq", b: trace.BoundaryDeviceIRQ},
+		{name: "device-rx", b: trace.BoundaryDeviceRX},
 	} {
 		t.Run(tc.name, func(t *testing.T) { runBoundaryCase(t, tc) })
 	}
@@ -343,30 +344,30 @@ func TestExitContextLedger(t *testing.T) {
 // ledger held.
 func TestSettleZeroesCostOnError(t *testing.T) {
 	for _, tc := range []boundaryCase{
-		{name: "execute-unmapped-doorbell", b: BoundaryExecute, op: DevNotify(0xdead0000), wantErr: true},
-		{name: "execute-interceptor-abort", b: BoundaryExecute, op: Hypercall(), wantErr: true, errAfterExit: true,
+		{name: "execute-unmapped-doorbell", b: trace.BoundaryExecute, op: DevNotify(0xdead0000), wantErr: true},
+		{name: "execute-interceptor-abort", b: trace.BoundaryExecute, op: Hypercall(), wantErr: true, errAfterExit: true,
 			setup: func(t *testing.T, w *World, v *VCPU) {
 				mustRegister(t, w, &stubInterceptor{name: "abort", priority: 10, err: errStubAbort, log: &[]string{}})
 			}},
-		{name: "timer-irq-no-guest-hypervisor", b: BoundaryTimerIRQ, wantErr: true,
+		{name: "timer-irq-no-guest-hypervisor", b: trace.BoundaryTimerIRQ, wantErr: true,
 			setup: func(t *testing.T, w *World, v *VCPU) { v.Parent.VM.GuestHyp = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { runBoundaryCase(t, tc) })
 	}
 }
 
-// TestStageStringTotal keeps Stage's String in sync with the enum (nvlint's
-// exhaustive rule checks the switch statically; this covers the rendered
-// names).
+// TestStageStringTotal pins the rendered names of the pipeline's stages, in
+// ledger order (the name array is sized by the enum, so its length cannot
+// drift; this covers the order and spelling).
 func TestStageStringTotal(t *testing.T) {
 	want := []string{"fast-path", "intercept", "route", "emulate", "forward", "deliver", "settle"}
 	for i, name := range want {
-		if got := Stage(i).String(); got != name {
+		if got := trace.Stage(i).String(); got != name {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, got, name)
 		}
 	}
-	if stageCount != len(want) {
-		t.Errorf("stageCount = %d, want %d", stageCount, len(want))
+	if trace.NumStages != len(want) {
+		t.Errorf("NumStages = %d, want %d", trace.NumStages, len(want))
 	}
 }
 

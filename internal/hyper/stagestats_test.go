@@ -8,22 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStageNameParity pins trace's mirrored name tables to the pipeline's
-// own String methods: the compile asserts in pipeline.go keep the counts in
-// lockstep, this keeps the display names from drifting.
-func TestStageNameParity(t *testing.T) {
-	for s := Stage(0); int(s) < stageCount; s++ {
-		if got, want := trace.StageName(int(s)), s.String(); got != want {
-			t.Errorf("stage %d: trace name %q, hyper name %q", s, got, want)
-		}
-	}
-	for b := Boundary(0); int(b) < boundaryCount; b++ {
-		if got, want := trace.BoundaryName(int(b)), b.String(); got != want {
-			t.Errorf("boundary %d: trace name %q, hyper name %q", b, got, want)
-		}
-	}
-}
-
 // TestStageStatsMatchesReturnedCost is the settle-ledger contract surfaced
 // through the observability layer: for any single outermost Execute, the
 // cycles StageStats observes are exactly the cost the boundary returned.
@@ -41,7 +25,7 @@ func TestStageStatsMatchesReturnedCost(t *testing.T) {
 			if ss.TotalSettled() != 1 {
 				t.Errorf("depth %d %v: %d outermost transactions observed, want 1", depth, op.Kind, ss.TotalSettled())
 			}
-			if ss.Settled[int(BoundaryExecute)] != 1 {
+			if ss.Settled[int(trace.BoundaryExecute)] != 1 {
 				t.Errorf("depth %d %v: settle not attributed to the Execute boundary", depth, op.Kind)
 			}
 		}
@@ -70,7 +54,7 @@ func TestStageStatsOutermostOnly(t *testing.T) {
 	if got := ss.TotalSettled(); got != 2 {
 		t.Fatalf("observed %d outermost transactions, want exactly the 2 Executes", got)
 	}
-	if got := ss.Settled[int(BoundaryWake)]; got != 0 {
+	if got := ss.Settled[int(trace.BoundaryWake)]; got != 0 {
 		t.Errorf("nested wake observed as its own transaction %d times", got)
 	}
 	if got := ss.TotalCycles(); got != ipiCost+kickCost {

@@ -1,7 +1,10 @@
 // Package mem models guest-physical memory and the translation structures
 // the virtualization stack is built on: sparse byte-addressable address
-// spaces with dirty-page logging, bitmaps, and real 4-level page tables used
-// both as EPTs (CPU side) and as IOMMU translation tables (DMA side).
+// spaces with copy-on-write frame sharing, bitmaps, and real 4-level page
+// tables used both as EPTs (CPU side) and as IOMMU translation tables (DMA
+// side). Write tracking is not kept here: each VM level logs its own CPU
+// writes (hyper.VM) and the host logs device DMA (core.VPState), as the
+// paper divides it.
 //
 // Bytes really move: virtio rings, DMA buffers and migration all read and
 // write AddressSpace content, so a mapping bug shows up as corrupted data in
@@ -35,11 +38,9 @@ func (p PFN) Base() Addr { return Addr(p) << PageShift }
 // on-demand 4 KiB pages. It serves as host physical memory for the machine
 // and as guest-physical memory for every VM level.
 type AddressSpace struct {
-	name    string
-	npages  PFN
-	pages   map[PFN]*[PageSize]byte
-	dirty   *Bitmap // non-nil while dirty logging is active
-	written *Bitmap // every page ever written; migration's first pass sends these
+	name   string
+	npages PFN
+	pages  map[PFN]*[PageSize]byte
 	// shared flags the slots whose frame SharePage may have aliased into
 	// another slot. A flagged frame is never written in place: the next
 	// write to the slot copies it first. Nil until the space's first share,
@@ -52,10 +53,9 @@ type AddressSpace struct {
 func NewAddressSpace(name string, size uint64) *AddressSpace {
 	np := PFN((size + PageSize - 1) / PageSize)
 	return &AddressSpace{
-		name:    name,
-		npages:  np,
-		pages:   make(map[PFN]*[PageSize]byte),
-		written: NewBitmap(uint64(np)),
+		name:   name,
+		npages: np,
+		pages:  make(map[PFN]*[PageSize]byte),
 	}
 }
 
@@ -100,10 +100,9 @@ func (as *AddressSpace) page(p PFN, allocate bool) (*[PageSize]byte, error) {
 
 // SharePage makes frame q of dst read as frame p of src without copying:
 // both slots then alias one backing frame, flagged shared in both spaces,
-// and whichever side is written next copies it first. q is marked written,
-// and dirty if dst is logging, exactly as a Write of the page would mark
-// it. A source page that was never written drops dst's frame, so q reads as
-// zero. src and dst may be the same space.
+// and whichever side is written next copies it first. A source page that
+// was never written drops dst's frame, so q reads as zero. src and dst may
+// be the same space.
 func SharePage(src *AddressSpace, p PFN, dst *AddressSpace, q PFN) error {
 	if p >= src.npages {
 		return fmt.Errorf("mem: %s: page %#x beyond end (%#x pages)", src.name, uint64(p), uint64(src.npages))
@@ -120,10 +119,6 @@ func SharePage(src *AddressSpace, p PFN, dst *AddressSpace, q PFN) error {
 		if dst.shared != nil {
 			dst.shared.Clear(uint64(q))
 		}
-	}
-	dst.written.Set(uint64(q))
-	if dst.dirty != nil {
-		dst.dirty.Set(uint64(q))
 	}
 	return nil
 }
@@ -164,8 +159,7 @@ func (as *AddressSpace) Read(a Addr, buf []byte) error {
 	return nil
 }
 
-// Write copies buf into the space starting at a, marking touched pages
-// written and, if dirty logging is active, dirty.
+// Write copies buf into the space starting at a.
 func (as *AddressSpace) Write(a Addr, buf []byte) error {
 	for len(buf) > 0 {
 		p := PageOf(a)
@@ -179,79 +173,11 @@ func (as *AddressSpace) Write(a Addr, buf []byte) error {
 			return err
 		}
 		copy(pg[off:off+n], buf[:n])
-		as.written.Set(uint64(p))
-		if as.dirty != nil {
-			as.dirty.Set(uint64(p))
-		}
 		buf = buf[n:]
 		a += Addr(n)
 	}
 	return nil
 }
-
-// ReadU64 reads a little-endian 64-bit value, the unit virtio descriptors and
-// the VCIMT use.
-func (as *AddressSpace) ReadU64(a Addr) (uint64, error) {
-	var b [8]byte
-	if err := as.Read(a, b[:]); err != nil {
-		return 0, err
-	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
-}
-
-// WriteU64 writes a little-endian 64-bit value.
-func (as *AddressSpace) WriteU64(a Addr, v uint64) error {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return as.Write(a, b[:])
-}
-
-// MarkPageDirty records a page as written without moving bytes — used by
-// cost-model paths that account a DMA without materializing payloads.
-func (as *AddressSpace) MarkPageDirty(p PFN) error {
-	if p >= as.npages {
-		return fmt.Errorf("mem: %s: page %#x beyond end", as.name, uint64(p))
-	}
-	as.written.Set(uint64(p))
-	if as.dirty != nil {
-		as.dirty.Set(uint64(p))
-	}
-	return nil
-}
-
-// StartDirtyLog begins tracking written pages, as a hypervisor does at the
-// start of live migration. Restarting clears the log.
-func (as *AddressSpace) StartDirtyLog() {
-	as.dirty = NewBitmap(uint64(as.npages))
-}
-
-// DirtyLogActive reports whether logging is on.
-func (as *AddressSpace) DirtyLogActive() bool { return as.dirty != nil }
-
-// CollectDirty returns the dirtied frames since the last collection, in
-// ascending order, and clears the log in place, the per-round step of
-// pre-copy migration. It returns nil when logging is inactive.
-func (as *AddressSpace) CollectDirty() []PFN {
-	if as.dirty == nil {
-		return nil
-	}
-	out := as.dirty.PFNs()
-	as.dirty.Reset()
-	return out
-}
-
-// StopDirtyLog ends tracking.
-func (as *AddressSpace) StopDirtyLog() { as.dirty = nil }
-
-// WrittenPages returns every frame ever written, the working set migration's
-// first pass must ship.
-func (as *AddressSpace) WrittenPages() []PFN { return as.written.PFNs() }
 
 // ResidentPages returns the number of slots with backing storage; slots
 // aliasing one shared frame each count.

@@ -22,20 +22,6 @@ func BenchmarkPageTableLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkPageTableCombine(b *testing.B) {
-	a, c := NewPageTable(), NewPageTable()
-	for i := 0; i < 4096; i++ {
-		a.Map(PFN(i), PFN(i+10000), PermRW)
-		c.Map(PFN(i+10000), PFN(i+20000), PermRW)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if a.Combine(c).Mapped() != 4096 {
-			b.Fatal("combine lost mappings")
-		}
-	}
-}
-
 func BenchmarkAddressSpaceWrite(b *testing.B) {
 	as := NewAddressSpace("bench", 1<<30)
 	buf := make([]byte, 4096)
@@ -44,20 +30,6 @@ func BenchmarkAddressSpaceWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := as.Write(Addr((i&0xff)*PageSize), buf); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDirtyCollect(b *testing.B) {
-	as := NewAddressSpace("bench", 1<<30)
-	as.StartDirtyLog()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := PFN(0); p < 512; p++ {
-			as.MarkPageDirty(p)
-		}
-		if got := as.CollectDirty(); len(got) != 512 {
-			b.Fatal("lost dirty pages")
 		}
 	}
 }

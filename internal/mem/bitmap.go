@@ -11,8 +11,8 @@ const (
 	chunkWords = chunkBits / 64
 )
 
-// Bitmap is a fixed-size bit set used for dirty-page logs and allocation
-// maps. It is sparse: storage is allocated one chunk at a time, by the first
+// Bitmap is a fixed-size bit set used for written sets, dirty-page logs
+// and shared-frame flags. It is sparse: storage is allocated one chunk at a time, by the first
 // Set landing in that chunk, so a bitmap over a large address space costs
 // what its set bits touch. The zero value is unusable; construct with
 // NewBitmap.
@@ -111,35 +111,6 @@ func (b *Bitmap) Reset() {
 	for _, c := range b.chunks {
 		if c != nil {
 			*c = [chunkWords]uint64{}
-		}
-	}
-}
-
-// Or merges other into b: the bit-wise union over the first
-// min(b.Len(), other.Len()) bits. Bits of other beyond b.Len() are dropped.
-func (b *Bitmap) Or(other *Bitmap) {
-	n := min(b.n, other.n)
-	for ci, oc := range other.chunks {
-		base := uint64(ci) * chunkBits
-		if base >= n {
-			break
-		}
-		if oc == nil {
-			continue
-		}
-		lim := min(n-base, chunkBits) // bits of this chunk inside the union
-		for wi := uint64(0); wi*64 < lim; wi++ {
-			w := oc[wi]
-			if rem := lim - wi*64; rem < 64 {
-				w &= 1<<rem - 1
-			}
-			if w == 0 {
-				continue
-			}
-			if b.chunks[ci] == nil {
-				b.chunks[ci] = new([chunkWords]uint64)
-			}
-			b.chunks[ci][wi] |= w
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package mem
 
-import "fmt"
-
 // Perm is a page permission mask.
 type Perm uint8
 
@@ -59,13 +57,7 @@ type ptEntry struct {
 	present  bool
 	accessed bool
 	dirty    bool
-	// huge marks a level-3 leaf covering HugePageFrames frames (a 2 MiB
-	// mapping), the large-page optimization real EPTs use to shorten walks.
-	huge bool
 }
-
-// HugePageFrames is the span of one huge mapping: 512 base frames = 2 MiB.
-const HugePageFrames = 512
 
 // NewPageTable returns an empty table.
 func NewPageTable() *PageTable {
@@ -102,34 +94,6 @@ func (t *PageTable) Map(from, to PFN, perms Perm) {
 		t.mapped++
 	}
 	*leaf = ptEntry{pfn: to, perms: perms, present: true}
-}
-
-// MapHuge installs a 2 MiB translation: from and to must be aligned to
-// HugePageFrames. The mapping terminates the walk one level early, exactly
-// as hardware large pages do.
-func (t *PageTable) MapHuge(from, to PFN, perms Perm) error {
-	if from%HugePageFrames != 0 || to%HugePageFrames != 0 {
-		return fmt.Errorf("mem: huge mapping %#x -> %#x not 2MiB aligned", uint64(from), uint64(to))
-	}
-	ix := indices(from)
-	node := t.root
-	for l := 0; l < ptLevels-2; l++ {
-		e := &node.entries[ix[l]]
-		if e.next == nil {
-			e.next = &ptNode{}
-			e.present = true
-		}
-		node = e.next
-	}
-	leaf := &node.entries[ix[ptLevels-2]]
-	if leaf.next != nil {
-		return fmt.Errorf("mem: huge mapping at %#x would shadow existing 4K mappings", uint64(from))
-	}
-	if !leaf.present {
-		t.mapped++
-	}
-	*leaf = ptEntry{pfn: to, perms: perms, present: true, huge: true}
-	return nil
 }
 
 // Unmap removes a translation, reporting whether one existed.
@@ -175,18 +139,6 @@ func (t *PageTable) Lookup(from PFN, access Perm) Walk {
 	for l := 0; l < ptLevels-1; l++ {
 		w.LevelsTouched++
 		e := &node.entries[ix[l]]
-		if l == ptLevels-2 && e.present && e.huge {
-			// Huge leaf: the walk ends a level early; the low 9 index bits
-			// select the frame inside the 2 MiB span.
-			w.Present = true
-			w.PFN = e.pfn + from%HugePageFrames
-			w.Perms = e.perms
-			e.accessed = true
-			if access.Has(PermWrite) && e.perms.Has(PermWrite) {
-				e.dirty = true
-			}
-			return w
-		}
 		if e.next == nil {
 			return w
 		}
@@ -207,44 +159,8 @@ func (t *PageTable) Lookup(from PFN, access Perm) Walk {
 	return w
 }
 
-// Translate converts a byte address through the table, preserving the page
-// offset. It fails when no translation exists or the access permission is
-// not granted.
-func (t *PageTable) Translate(a Addr, access Perm) (Addr, error) {
-	w := t.Lookup(PageOf(a), access)
-	if !w.Present {
-		return 0, fmt.Errorf("mem: no translation for %#x", uint64(a))
-	}
-	if !w.Perms.Has(access) {
-		return 0, fmt.Errorf("mem: %s access to %#x denied (perms %s)", access, uint64(a), w.Perms)
-	}
-	return w.PFN.Base() + (a & (PageSize - 1)), nil
-}
-
 // Mapped returns the number of installed leaf translations.
 func (t *PageTable) Mapped() int { return t.mapped }
-
-// ForEach visits every installed translation in ascending frame order.
-func (t *PageTable) ForEach(fn func(from, to PFN, perms Perm)) {
-	var walk func(n *ptNode, prefix PFN, level int)
-	walk = func(n *ptNode, prefix PFN, level int) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if !e.present && e.next == nil {
-				continue
-			}
-			p := prefix<<9 | PFN(i)
-			if level == ptLevels-1 {
-				if e.present {
-					fn(p, e.pfn, e.perms)
-				}
-			} else if e.next != nil {
-				walk(e.next, p, level+1)
-			}
-		}
-	}
-	walk(t.root, 0, 0)
-}
 
 // Entry describes one installed translation with its A/D tracking state.
 type Entry struct {
@@ -252,7 +168,6 @@ type Entry struct {
 	Perms    Perm
 	Accessed bool
 	Dirty    bool
-	Huge     bool
 }
 
 // ForEachEntry visits every installed translation in ascending frame order,
@@ -267,36 +182,16 @@ func (t *PageTable) ForEachEntry(fn func(Entry)) {
 				continue
 			}
 			p := prefix<<9 | PFN(i)
-			switch {
-			case level == ptLevels-1:
+			if level == ptLevels-1 {
 				if e.present {
 					fn(Entry{From: p, To: e.pfn, Perms: e.perms, Accessed: e.accessed, Dirty: e.dirty})
 				}
-			case level == ptLevels-2 && e.present && e.huge:
-				fn(Entry{From: p << 9, To: e.pfn, Perms: e.perms, Accessed: e.accessed, Dirty: e.dirty, Huge: true})
-			case e.next != nil:
+			} else if e.next != nil {
 				walk(e.next, p, level+1)
 			}
 		}
 	}
 	walk(t.root, 0, 0)
-}
-
-// Combine produces a new table composing t with next: for every mapping
-// a→b in t with a mapping b→c in next, the result maps a→c with the
-// intersection of permissions. This is exactly the shadow-table construction
-// virtual-passthrough uses to collapse the vIOMMU chain (paper Section 3.5,
-// Figure 6): the L1 virtual IOMMU's table holds the combined Ln→L1 mapping.
-func (t *PageTable) Combine(next *PageTable) *PageTable {
-	out := NewPageTable()
-	t.ForEach(func(from, mid PFN, p1 Perm) {
-		w := next.Lookup(mid, 0)
-		if !w.Present {
-			return
-		}
-		out.Map(from, w.PFN, p1&w.Perms)
-	})
-	return out
 }
 
 // Clear removes every translation.

@@ -26,46 +26,9 @@ import (
 // folds its cost into the enclosing transaction's ledger at the stage that
 // invoked it, so observing it again would double-count. Each settled cycle
 // therefore appears in exactly one (boundary, stage) cell.
-const (
-	// NumStages mirrors the hyper pipeline's stage enum (fast-path,
-	// intercept, route, emulate, forward, deliver, settle). The hyper package
-	// compile-asserts its stage count against this, and a test pins the
-	// names to hyper's Stage.String values.
-	NumStages = 7
-	// NumBoundaries mirrors hyper's Boundary enum (Execute, DeliverTimerIRQ,
-	// DeliverDeviceIRQ, DeviceRX, WakeIfIdle), with the same cross-checks.
-	NumBoundaries = 5
-)
-
-// stageNames mirror hyper's Stage.String values; pinned by a hyper test so
-// the two cannot drift.
-var stageNames = [NumStages]string{
-	"fast-path", "intercept", "route", "emulate", "forward", "deliver", "settle",
-}
-
-// boundaryNames mirror hyper's Boundary.String values, pinned the same way.
-var boundaryNames = [NumBoundaries]string{
-	"Execute", "DeliverTimerIRQ", "DeliverDeviceIRQ", "DeviceRX", "WakeIfIdle",
-}
-
-// StageName returns the display name of a pipeline stage index.
-func StageName(s int) string {
-	if s < 0 || s >= NumStages {
-		return "stage(?)"
-	}
-	return stageNames[s]
-}
-
-// BoundaryName returns the display name of a boundary index.
-func BoundaryName(b int) string {
-	if b < 0 || b >= NumBoundaries {
-		return "boundary(?)"
-	}
-	return boundaryNames[b]
-}
-
-// StageStats accumulates per-stage cycle attribution. The zero value is ready
-// to use; it is not safe for concurrent use (one per World, like Stats).
+//
+// The zero value is ready to use; it is not safe for concurrent use (one per
+// World, like Stats).
 type StageStats struct {
 	// BoundaryCycles attributes cycles by (boundary, stage): which entry
 	// point's transactions spent them and in which pipeline phase.

@@ -132,13 +132,13 @@ func TestStageStatsString(t *testing.T) {
 }
 
 func TestStageAndBoundaryNameBounds(t *testing.T) {
-	if StageName(-1) != "stage(?)" || StageName(NumStages) != "stage(?)" {
+	if Stage(NumStages).String() != "Stage(?)" || Stage(255).String() != "Stage(?)" {
 		t.Fatal("out-of-range stage names")
 	}
-	if BoundaryName(-1) != "boundary(?)" || BoundaryName(NumBoundaries) != "boundary(?)" {
+	if Boundary(NumBoundaries).String() != "Boundary(?)" || Boundary(255).String() != "Boundary(?)" {
 		t.Fatal("out-of-range boundary names")
 	}
-	if StageName(4) != "forward" || BoundaryName(0) != "Execute" {
+	if StageForward.String() != "forward" || BoundaryExecute.String() != "Execute" || BoundaryWake.String() != "WakeIfIdle" {
 		t.Fatal("name tables shifted")
 	}
 }

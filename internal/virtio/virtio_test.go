@@ -2,6 +2,7 @@ package virtio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -349,8 +350,18 @@ type translatingDMA struct {
 	host  *mem.AddressSpace
 }
 
+// translate walks the table for the frame holding a, failing when no
+// mapping grants the access, and keeps the page offset.
+func (t *translatingDMA) translate(a mem.Addr, access mem.Perm) (mem.Addr, error) {
+	w := t.table.Lookup(mem.PageOf(a), access)
+	if !w.Present || !w.Perms.Has(access) {
+		return 0, fmt.Errorf("no %s translation for %#x", access, uint64(a))
+	}
+	return w.PFN.Base() + a&(mem.PageSize-1), nil
+}
+
 func (t *translatingDMA) Read(a mem.Addr, b []byte) error {
-	ha, err := t.table.Translate(a, mem.PermRead)
+	ha, err := t.translate(a, mem.PermRead)
 	if err != nil {
 		return err
 	}
@@ -358,7 +369,7 @@ func (t *translatingDMA) Read(a mem.Addr, b []byte) error {
 }
 
 func (t *translatingDMA) Write(a mem.Addr, b []byte) error {
-	ha, err := t.table.Translate(a, mem.PermWrite)
+	ha, err := t.translate(a, mem.PermWrite)
 	if err != nil {
 		return err
 	}

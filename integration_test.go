@@ -1,27 +1,24 @@
-// Integration tests exercising whole-stack flows across modules: real virtio
-// rings driven through DVH virtual-passthrough translation chains, timers
-// firing through the event engine and waking idle nested vCPUs, IPIs
-// resolved through in-memory VCIMTs, and live migration moving actual bytes
-// between machines while a workload churns.
+// Integration tests exercising whole-stack flows across modules: device
+// kicks and completions through DVH virtual-passthrough and the paravirtual
+// cascade, timers firing through the event engine and waking idle nested
+// vCPUs, IPIs resolved through in-memory VCIMTs, and live migration moving
+// actual bytes between machines while a workload churns.
 package nvsim_test
 
 import (
-	"bytes"
 	"testing"
 
 	nvsim "repro"
 	"repro/internal/apic"
 	"repro/internal/core"
 	"repro/internal/hyper"
-	"repro/internal/mem"
 	"repro/internal/trace"
-	"repro/internal/virtio"
 	"repro/internal/workload"
 )
 
-// TestEndToEndVPNetworkPath drives a frame from a nested VM's driver through
-// real virtqueue memory, the DVH shadow translation, and the host backend —
-// then a frame back in through the RX ring — checking bytes at every hop.
+// TestEndToEndVPNetworkPath kicks a nested VM's virtual-passthrough NIC —
+// handled entirely at the host, the frame reaching the wire — then brings a
+// frame in and delivers the RX completion without an exit.
 func TestEndToEndVPNetworkPath(t *testing.T) {
 	st, err := nvsim.Build(nvsim.Spec{Depth: 2, IO: nvsim.IODVH})
 	if err != nil {
@@ -29,83 +26,45 @@ func TestEndToEndVPNetworkPath(t *testing.T) {
 	}
 	l2 := st.Target
 	dev := st.Net
-	gm := l2.Memory()
 
-	// The nested VM's driver sets up TX and RX rings in its own memory.
-	txBase := l2.MustAllocPages(4)
-	txq, err := virtio.NewDriverQueue(gm, txBase, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, avail, used := txq.Rings()
-	dev.Net.AttachQueue(virtio.NetTXQueue, virtio.NewQueue(dev.DMAView, 16, desc, avail, used))
-
-	rxBase := l2.MustAllocPages(4)
-	rxq, err := virtio.NewDriverQueue(gm, rxBase, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, avail, used = rxq.Rings()
-	dev.Net.AttachQueue(virtio.NetRXQueue, virtio.NewQueue(dev.DMAView, 16, desc, avail, used))
-
-	// TX: driver fills a frame, publishes it, kicks the doorbell. The kick
-	// must be handled entirely at the host (no guest hypervisor exits).
-	frame := bytes.Repeat([]byte("dvh!"), 300)
-	frameAddr := l2.MustAllocPages(1)
-	if err := gm.Write(frameAddr, frame); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txq.Submit([]virtio.Descriptor{{Addr: frameAddr, Len: uint32(len(frame))}}); err != nil {
-		t.Fatal(err)
-	}
+	// TX: the kick must be handled entirely at the host (no guest
+	// hypervisor exits) and put the frame on the physical NIC.
 	st.Machine.Stats.Reset()
+	tx0 := st.Machine.NIC.TxFrames
 	if _, err := st.World.Execute(l2.VCPUs[0], nvsim.DevNotify(dev.Doorbell)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Machine.Stats.GuestHypervisorExits() != 0 {
 		t.Error("VP TX kick exited to a guest hypervisor")
 	}
-	if dev.Net.TxFrames != 1 {
-		t.Fatalf("backend transmitted %d frames", dev.Net.TxFrames)
-	}
-	comps, err := txq.Reap()
-	if err != nil || len(comps) != 1 {
-		t.Fatalf("TX completion missing: %v %v", comps, err)
+	if st.Machine.NIC.TxFrames != tx0+1 {
+		t.Fatalf("NIC transmitted %d frames, want 1", st.Machine.NIC.TxFrames-tx0)
 	}
 
-	// RX: driver posts a buffer; the host device scatters an inbound frame
-	// into it through the shadow translation.
-	rxBuf := l2.MustAllocPages(1)
-	if _, err := rxq.Submit([]virtio.Descriptor{{Addr: rxBuf, Len: 2048, DeviceWrite: true}}); err != nil {
-		t.Fatal(err)
-	}
-	inbound := []byte("inbound frame through combined vIOMMU shadow table")
-	ok, err := dev.Net.Receive(dev.DMAView, inbound)
-	if err != nil || !ok {
-		t.Fatalf("receive failed: %v %v", ok, err)
-	}
-	got := make([]byte, len(inbound))
-	if err := gm.Read(rxBuf, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, inbound) {
-		t.Fatal("inbound frame bytes corrupted across the translation chain")
-	}
-	// And the completion interrupt reaches the vCPU without an exit.
+	// RX: only the host backend runs, and the completion interrupt reaches
+	// the vCPU without an exit.
+	rx0 := st.Machine.NIC.RxFrames
 	before := st.Machine.Stats.TotalHardwareExits()
-	if _, err := st.World.DeliverDeviceIRQ(dev, l2.VCPUs[0]); err != nil {
+	if _, err := st.World.DeviceRX(dev, l2.VCPUs[0]); err != nil {
 		t.Fatal(err)
+	}
+	if st.Machine.NIC.RxFrames != rx0+1 {
+		t.Fatalf("NIC received %d frames, want 1", st.Machine.NIC.RxFrames-rx0)
 	}
 	if st.Machine.Stats.TotalHardwareExits() != before {
 		t.Error("posted RX interrupt caused a hardware exit")
+	}
+	if st.Machine.Stats.GuestHypervisorExits() != 0 {
+		t.Error("VP RX involved a guest hypervisor")
 	}
 	if !l2.VCPUs[0].LAPIC.Pending(dev.IRQ) {
 		t.Error("RX interrupt not pending")
 	}
 }
 
-// TestEndToEndBlockPath writes a sector from a nested VM through the VP blk
-// device into the machine's SSD backing store and reads it back.
+// TestEndToEndBlockPath kicks a nested VM's virtual-passthrough blk device:
+// the host backend does the work, no guest hypervisor runs, and the
+// completion interrupt arrives posted.
 func TestEndToEndBlockPath(t *testing.T) {
 	st, err := nvsim.Build(nvsim.Spec{Depth: 2, IO: nvsim.IODVH})
 	if err != nil {
@@ -113,46 +72,30 @@ func TestEndToEndBlockPath(t *testing.T) {
 	}
 	l2 := st.Target
 	dev := st.Blk
-	gm := l2.Memory()
 
-	base := l2.MustAllocPages(4)
-	dq, err := virtio.NewDriverQueue(gm, base, 8)
+	st.Machine.Stats.Reset()
+	cycles, err := st.World.Execute(l2.VCPUs[0], nvsim.DevNotify(dev.Doorbell))
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, avail, used := dq.Rings()
-	dev.Blk.AttachQueue(0, virtio.NewQueue(dev.DMAView, 8, desc, avail, used))
-
-	hdrAddr := l2.MustAllocPages(1)
-	dataAddr := l2.MustAllocPages(1)
-	statusAddr := l2.MustAllocPages(1)
-	payload := bytes.Repeat([]byte{0xAB}, virtio.SectorSize)
-	if err := gm.Write(hdrAddr, virtio.MakeBlkRequest(virtio.BlkTOut, 77)); err != nil {
+	if cycles == 0 {
+		t.Fatal("blk kick cost nothing")
+	}
+	if st.Machine.Stats.GuestHypervisorExits() != 0 {
+		t.Error("VP blk kick exited to a guest hypervisor")
+	}
+	if st.Machine.Stats.Count(trace.CounterVirtioKicks) != 1 {
+		t.Errorf("host backend ran %d times, want 1", st.Machine.Stats.Count(trace.CounterVirtioKicks))
+	}
+	before := st.Machine.Stats.TotalHardwareExits()
+	if _, err := st.World.DeliverDeviceIRQ(dev, l2.VCPUs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := gm.Write(dataAddr, payload); err != nil {
-		t.Fatal(err)
+	if st.Machine.Stats.TotalHardwareExits() != before {
+		t.Error("posted blk completion caused a hardware exit")
 	}
-	if _, err := dq.Submit([]virtio.Descriptor{
-		{Addr: hdrAddr, Len: 16},
-		{Addr: dataAddr, Len: virtio.SectorSize},
-		{Addr: statusAddr, Len: 1, DeviceWrite: true},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.World.Execute(l2.VCPUs[0], nvsim.DevNotify(dev.Doorbell)); err != nil {
-		t.Fatal(err)
-	}
-	if dev.Blk.Writes != 1 {
-		t.Fatalf("blk writes = %d", dev.Blk.Writes)
-	}
-	// The bytes must be on the machine's SSD at sector 77.
-	diskBuf := make([]byte, virtio.SectorSize)
-	if err := st.Machine.SSD.Backing.Read(mem.Addr(77*virtio.SectorSize), diskBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(diskBuf, payload) {
-		t.Fatal("sector content did not reach the SSD backing store")
+	if !l2.VCPUs[0].LAPIC.Pending(dev.IRQ) {
+		t.Error("blk completion interrupt not pending")
 	}
 }
 
@@ -271,56 +214,33 @@ func TestEndToEndWorkloadThenMigrate(t *testing.T) {
 	}
 }
 
-// TestParavirtCascadeMovesBytesThroughEveryLevel wires rings at both levels
-// of a paravirtual stack and checks a nested TX propagates to the L1 device
-// and the physical NIC counter.
+// TestParavirtCascadeMovesBytesThroughEveryLevel kicks a nested
+// paravirtual NIC and checks the kick cascades through the L1 device's
+// backend to the physical NIC counter.
 func TestParavirtCascadeMovesBytesThroughEveryLevel(t *testing.T) {
 	st, err := nvsim.Build(nvsim.Spec{Depth: 2, IO: nvsim.IOParavirt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1, l2 := st.VMs[0], st.VMs[1]
+	l2 := st.VMs[1]
 	l2dev := st.Net
-	l1dev := l2dev.Lower
-	if l1dev == nil {
+	if l2dev.Lower == nil {
 		t.Fatal("no cascade lower device")
 	}
 
-	// L2 ring with a frame.
-	gm2 := l2.Memory()
-	q2base := l2.MustAllocPages(4)
-	txq2, err := virtio.NewDriverQueue(gm2, q2base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, avail, used := txq2.Rings()
-	l2dev.Net.AttachQueue(virtio.NetTXQueue, virtio.NewQueue(gm2, 8, desc, avail, used))
-	frameAddr := l2.MustAllocPages(1)
-	gm2.Write(frameAddr, []byte("cascade frame"))
-	txq2.Submit([]virtio.Descriptor{{Addr: frameAddr, Len: 13}})
-
-	// L1 ring (the L1 backend re-queues into its own device).
-	gm1 := l1.Memory()
-	q1base := l1.MustAllocPages(4)
-	txq1, err := virtio.NewDriverQueue(gm1, q1base, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, avail, used = txq1.Rings()
-	l1dev.Net.AttachQueue(virtio.NetTXQueue, virtio.NewQueue(gm1, 8, desc, avail, used))
-
+	st.Machine.Stats.Reset()
 	before := st.Machine.NIC.TxFrames
 	if _, err := st.World.Execute(l2.VCPUs[0], nvsim.DevNotify(l2dev.Doorbell)); err != nil {
 		t.Fatal(err)
-	}
-	if l2dev.Net.TxFrames != 1 {
-		t.Fatal("L2 device did not transmit")
 	}
 	if st.Machine.NIC.TxFrames != before+1 {
 		t.Fatal("frame never reached the physical NIC")
 	}
 	if st.Machine.Stats.Count(trace.CounterVirtioKicks) < 2 {
 		t.Fatal("cascade should involve both backends")
+	}
+	if st.Machine.Stats.GuestHypervisorExits() == 0 {
+		t.Fatal("the L1 backend never ran")
 	}
 }
 

@@ -133,7 +133,7 @@ func FuzzMergeChain(f *testing.F) {
 // add sequences: it must never panic, never hand out overlapping ranges,
 // and keep the capability list walkable after rejecting an overflow.
 func FuzzConfigSpace(f *testing.F) {
-	f.Add([]byte{byte(pci.CapMSIX), 12, byte(pci.CapVendor), 60})
+	f.Add([]byte{0x11, 12, byte(pci.CapVendor), 60}) // 0x11: MSI-X
 	f.Fuzz(func(t *testing.T, seq []byte) {
 		cs := pci.NewConfigSpace(0x8086, 0x10ca, 0x020000)
 		type span struct{ off, size int }
@@ -155,10 +155,22 @@ func FuzzConfigSpace(f *testing.F) {
 			}
 			taken = append(taken, span{off, total})
 		}
-		if got := len(cs.Capabilities()); got != added {
+		if got := capChainLen(cs); got != added {
 			t.Fatalf("capability walk found %d entries, %d were added", got, added)
 		}
 	})
+}
+
+// capChainLen walks a config space's capability list the way PCI software
+// does — the pointer at 0x34, then each header's next-pointer byte — and
+// counts the entries, stopping past 64 so a corrupt (cyclic) chain fails the
+// count instead of hanging.
+func capChainLen(cs *pci.ConfigSpace) int {
+	n := 0
+	for p := int(cs.ReadU16(0x34) & 0xff); p != 0 && n <= 64; p = int(cs.ReadU16(p) >> 8) {
+		n++
+	}
+	return n
 }
 
 // FuzzRestoreSnapshot mutates a valid nested-VM snapshot arbitrarily:

@@ -7,6 +7,8 @@ import (
 	"repro/internal/apic"
 	"repro/internal/hyper"
 	"repro/internal/machine"
+	"repro/internal/mem"
+	"repro/internal/pci"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vmx"
@@ -240,7 +242,7 @@ func TestVirtualPassthroughTable3(t *testing.T) {
 	// Paper Table 3: DevNotify nested+DVH = 13,815 (vs 4,984 at one level):
 	// the premium is the host's software EPT walk validating the fault.
 	d, w, vms := buildStack(t, 2, FeaturesAll)
-	dev, err := d.AttachVirtualPassthroughNet(vms[1], "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(vms[1], hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func TestVirtualPassthroughL3(t *testing.T) {
 	// Paper Table 3: DevNotify L3+DVH = 15,150 — still host-handled, one
 	// more vIOMMU level in the chain but no guest hypervisor on the path.
 	d, w, vms := buildStack(t, 3, FeaturesAll)
-	dev, err := d.AttachVirtualPassthroughNet(vms[2], "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(vms[2], hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,51 +274,44 @@ func TestVirtualPassthroughL3(t *testing.T) {
 }
 
 func TestVPDataPathMovesBytesThroughShadow(t *testing.T) {
-	// End to end: the nested VM posts a TX frame through real virtio rings;
-	// the host backend reads it through the combined shadow translation.
-	d, w, vms := buildStack(t, 2, FeaturesAll)
-	l2 := vms[1]
-	dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net0")
+	// End to end: the device DMAs a payload that straddles a page boundary
+	// to a nested-VM address; the bytes land in the L1 frames the combined
+	// shadow translation resolved, and the host logs both pages.
+	d, _, vms := buildStack(t, 2, FeaturesAll)
+	l1, l2 := vms[0], vms[1]
+	dev, err := d.AttachVirtualPassthrough(l2, hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	vp, _ := d.VPStateOf(dev)
 
-	gm := l2.Memory()
-	ringBase := l2.MustAllocPages(4)
-	dq, err := newDriverQueue(gm, ringBase, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, avail, used := dq.Rings()
-	dev.Net.AttachQueue(1, newQueue(dev.DMAView, 8, desc, avail, used))
-
-	frameAddr := l2.MustAllocPages(1)
+	addr := l2.MustAllocPages(2) + mem.PageSize - 16
 	payload := []byte("nested frame via DVH virtual-passthrough")
-	if err := gm.Write(frameAddr, payload); err != nil {
+	if err := dev.DMAView.Write(addr, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dq.Submit([]vdesc{{Addr: frameAddr, Len: uint32(len(payload))}}); err != nil {
-		t.Fatal(err)
-	}
-	exec(t, w, l2.VCPUs[0], hyper.DevNotify(dev.Doorbell))
-	if dev.Net.TxFrames != 1 {
-		t.Fatalf("backend transmitted %d frames, want 1", dev.Net.TxFrames)
-	}
-	// The shadow table must now hold combined mappings and the vIOMMU
-	// domains must have been programmed by the "guest hypervisors".
 	if vp.Shadow.Mapped() == 0 {
 		t.Fatal("shadow table empty after DMA")
 	}
-	if len(vp.Domains) != 1 || vp.Domains[0].Table.Mapped() == 0 {
-		t.Fatal("L1 vIOMMU domain not programmed")
+	for off := 0; off < len(payload); {
+		a := addr + mem.Addr(off)
+		n := min(int(mem.PageSize-(a&(mem.PageSize-1))), len(payload)-off)
+		l1f, err := vp.ensureShadow(pageOf(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, n)
+		if err := l1.Memory().Read(l1f.Base()+(a&(mem.PageSize-1)), got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(payload[off:off+n]) {
+			t.Fatalf("L1 frame %d holds %q, want %q", l1f, got, payload[off:off+n])
+		}
+		if !vp.HostDirty.Test(uint64(pageOf(a))) {
+			t.Fatalf("page %d missing from the host DMA dirty log", pageOf(a))
+		}
+		off += n
 	}
-	// DMA reads do not dirty; device writes do. Exercise RX:
-	rxBase := l2.MustAllocPages(1)
-	if _, err := dq.Submit(nil); err == nil {
-		t.Fatal("empty submit should fail")
-	}
-	_ = rxBase
 }
 
 func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
@@ -325,7 +320,7 @@ func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
 	// the nested VM's own dirty log must not.
 	d, _, vms := buildStack(t, 2, FeaturesAll)
 	l2 := vms[1]
-	dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(l2, hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +348,16 @@ func TestVPDMAWritesInvisibleToGuestDirtyLog(t *testing.T) {
 
 func TestVPMigrationCapability(t *testing.T) {
 	d, _, vms := buildStack(t, 2, FeaturesAll)
-	dev, err := d.AttachVirtualPassthroughNet(vms[1], "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(vms[1], hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	vp, _ := d.VPStateOf(dev)
-	fn := dev.Net.Fn
-	if !pciHasMigrationCap(fn) {
+	if _, ok := dev.Fn.Config.FindCapability(pci.CapMigration); !ok {
 		t.Fatal("VP device does not advertise the migration capability")
 	}
 	// Guest hypervisor flow: enable dirty logging, capture state.
-	if err := vp.MigCap.GuestWriteCtrl(pciMigDirtyLog | pciMigCapture); err != nil {
+	if err := vp.MigCap.GuestWriteCtrl(pci.MigCtrlDirtyLog | pci.MigCtrlCapture); err != nil {
 		t.Fatal(err)
 	}
 	if !vp.DirtyLogging {
@@ -373,11 +367,11 @@ func TestVPMigrationCapability(t *testing.T) {
 	if len(blob) == 0 {
 		t.Fatal("no device state captured")
 	}
-	dev.Net.TxFrames = 99
+	dev.TxFrames = 99
 	if err := RestoreVPDeviceState(dev, blob); err != nil {
 		t.Fatal(err)
 	}
-	if dev.Net.TxFrames != 0 {
+	if dev.TxFrames != 0 {
 		t.Fatal("restore did not reinstate captured state")
 	}
 	if err := RestoreVPDeviceState(dev, []byte("junk")); err == nil {
@@ -387,11 +381,11 @@ func TestVPMigrationCapability(t *testing.T) {
 
 func TestVPRejectsNonNestedAndDisabled(t *testing.T) {
 	d, _, vms := buildStack(t, 2, FeaturesAll)
-	if _, err := d.AttachVirtualPassthroughNet(vms[0], "bad"); err == nil {
+	if _, err := d.AttachVirtualPassthrough(vms[0], hyper.DevNet, "bad"); err == nil {
 		t.Fatal("VP to a level-1 VM should be rejected")
 	}
 	d2, _, vms2 := buildStack(t, 2, FeatureVirtualTimers)
-	if _, err := d2.AttachVirtualPassthroughNet(vms2[1], "bad"); err == nil {
+	if _, err := d2.AttachVirtualPassthrough(vms2[1], hyper.DevNet, "bad"); err == nil {
 		t.Fatal("VP without the feature should be rejected")
 	}
 }
@@ -426,7 +420,7 @@ func TestHypercallUnaffectedByDVH(t *testing.T) {
 
 func TestStatsReportMentionsDVH(t *testing.T) {
 	d, w, vms := buildStack(t, 2, FeaturesAll)
-	dev, err := d.AttachVirtualPassthroughNet(vms[1], "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(vms[1], hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,8 @@ func TestBuildShapes(t *testing.T) {
 }
 
 // TestBuildAllocationBudget holds one depth-3 DVH stack build under 1 MB of
-// allocation. The modeled machine has 96 GiB of RAM, a 480 GiB backing store
-// and 12-36 GiB per VM level; a build stays cheap only while their page
+// allocation. The modeled machine has 96 GiB of RAM and 12-36 GiB per VM
+// level; a build stays cheap only while their page
 // bitmaps are sparse, so a dense bitmap coming back (about 21 MB per build)
 // fails here.
 func TestBuildAllocationBudget(t *testing.T) {

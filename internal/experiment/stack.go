@@ -241,11 +241,11 @@ func (st *Stack) attachIO() error {
 	case IOParavirt:
 		// The cascade: every level gets its own virtio devices.
 		for _, vm := range st.VMs {
-			net, err := hyper.AttachParavirtNet(vm, fmt.Sprintf("virtio-net-L%d", vm.Level))
+			net, err := hyper.AttachParavirt(vm, hyper.DevNet, fmt.Sprintf("virtio-net-L%d", vm.Level))
 			if err != nil {
 				return err
 			}
-			blk, err := hyper.AttachParavirtBlk(vm, fmt.Sprintf("virtio-blk-L%d", vm.Level))
+			blk, err := hyper.AttachParavirt(vm, hyper.DevBlk, fmt.Sprintf("virtio-blk-L%d", vm.Level))
 			if err != nil {
 				return err
 			}
@@ -261,7 +261,7 @@ func (st *Stack) attachIO() error {
 			vm.ProvideVIOMMU(true)
 		}
 		for _, vm := range st.VMs {
-			blk, err := hyper.AttachParavirtBlk(vm, fmt.Sprintf("virtio-blk-L%d", vm.Level))
+			blk, err := hyper.AttachParavirt(vm, hyper.DevBlk, fmt.Sprintf("virtio-blk-L%d", vm.Level))
 			if err != nil {
 				return err
 			}
@@ -279,11 +279,11 @@ func (st *Stack) attachIO() error {
 		}
 		st.Net = net
 	case IODVHVP, IODVH:
-		net, err := st.DVH.AttachVirtualPassthroughNet(st.Target, "vp-net0")
+		net, err := st.DVH.AttachVirtualPassthrough(st.Target, hyper.DevNet, "vp-net0")
 		if err != nil {
 			return err
 		}
-		blk, err := st.DVH.AttachVirtualPassthroughBlk(st.Target, "vp-blk0")
+		blk, err := st.DVH.AttachVirtualPassthrough(st.Target, hyper.DevBlk, "vp-blk0")
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ func nestedOpStack(t testing.TB, depth int) (*World, *VCPU, *AssignedDevice) {
 	var net *AssignedDevice
 	for _, vm := range vms {
 		var err error
-		if net, err = AttachParavirtNet(vm, "bench-net"); err != nil {
+		if net, err = AttachParavirt(vm, DevNet, "bench-net"); err != nil {
 			t.Fatal(err)
 		}
 	}

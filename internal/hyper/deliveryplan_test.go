@@ -69,7 +69,7 @@ func TestDeliveryPlanReplayEquivalence(t *testing.T) {
 				var dev *AssignedDevice
 				for _, vm := range vms {
 					var err error
-					if dev, err = AttachParavirtNet(vm, "net"); err != nil {
+					if dev, err = AttachParavirt(vm, DevNet, "net"); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -328,7 +328,7 @@ func TestDeliveryPlanReplayAllocFree(t *testing.T) {
 	var dev *AssignedDevice
 	for _, vm := range vms {
 		var err error
-		if dev, err = AttachParavirtNet(vm, "net"); err != nil {
+		if dev, err = AttachParavirt(vm, DevNet, "net"); err != nil {
 			t.Fatal(err)
 		}
 	}

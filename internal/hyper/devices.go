@@ -6,7 +6,7 @@ import (
 	"repro/internal/apic"
 	"repro/internal/mem"
 	"repro/internal/pci"
-	"repro/internal/virtio"
+	"repro/internal/vmx"
 )
 
 // DeviceClass distinguishes the modeled device types.
@@ -25,7 +25,7 @@ const (
 // interrupts reach the VM. The four I/O configurations of the paper map to:
 //
 //   - paravirtual:          ProviderLevel = VM.Level-1, Lower chains downward
-//   - device passthrough:   Phys set, ProviderLevel = -1 (no interposition)
+//   - device passthrough:   Fn is an SR-IOV VF, ProviderLevel = -1 (no interposition)
 //   - virtual-passthrough:  ProviderLevel = 0 for a VM.Level >= 2, VP = true
 //   - non-nested virtual:   ProviderLevel = 0 for a VM.Level == 1
 type AssignedDevice struct {
@@ -33,10 +33,9 @@ type AssignedDevice struct {
 	Class DeviceClass
 	VM    *VM
 
-	// Net/Blk back virtual devices; Phys backs passthrough.
-	Net  *virtio.NetDevice
-	Blk  *virtio.BlkDevice
-	Phys *pci.Function
+	// Fn is the device's PCI function: a virtio function for an emulated
+	// device, an SR-IOV virtual function for passthrough.
+	Fn *pci.Function
 
 	// ProviderLevel is the hypervisor level that emulates the device; -1
 	// means real hardware (passthrough).
@@ -57,14 +56,24 @@ type AssignedDevice struct {
 	// host-provided devices, VT-d posting for passthrough, vIOMMU posting
 	// for virtual-passthrough).
 	PostedDelivery bool
-	// DMAView is the memory view the device's backend uses for ring and
-	// payload access: the VM's own memory for an ordinary virtual device, a
-	// vIOMMU-translating view for virtual-passthrough.
-	DMAView virtio.DMA
+	// DMAView is the view a virtual-passthrough device's DMA writes go
+	// through: nested-VM addresses translate through the host's combined
+	// shadow table and dirty the host-side log. Nil for other devices.
+	DMAView DMA
+
+	// TxFrames/RxFrames (net) and Reads/Writes (blk) are the virtio device's
+	// completion counters, the device state the migration capability
+	// captures and restores.
+	TxFrames, RxFrames, Reads, Writes uint64
+}
+
+// DMA is a device's write path into guest memory.
+type DMA interface {
+	Write(a mem.Addr, buf []byte) error
 }
 
 // Virtual reports whether the device is emulated (as opposed to physical).
-func (d *AssignedDevice) Virtual() bool { return d.Phys == nil }
+func (d *AssignedDevice) Virtual() bool { return d.ProviderLevel >= 0 }
 
 // FindDeviceByDoorbell locates the device owning an MMIO address.
 func (vm *VM) FindDeviceByDoorbell(a mem.Addr) *AssignedDevice {
@@ -86,28 +95,44 @@ func (vm *VM) FindDevice(c DeviceClass) *AssignedDevice {
 	return nil
 }
 
-// AttachParavirtNet gives the VM a virtio-net device emulated by its own
-// hypervisor (the traditional virtual I/O model). For a nested VM this
-// builds the cascade: the provider's own net device becomes the lower link.
-func AttachParavirtNet(vm *VM, name string) (*AssignedDevice, error) {
-	doorbell := vm.AllocMMIO(mem.PageSize)
-	nd, err := virtio.NewNetDevice(name, doorbell)
-	if err != nil {
-		return nil, err
-	}
-	vm.Bus.AutoAdd(nd.Fn)
-	if err := nd.Fn.Bind("virtio-net"); err != nil {
+// virtioIDs is each class's virtio PCI identity: the guest driver that binds
+// it, the device ID under the virtio vendor ID, and the PCI class code.
+var virtioIDs = [...]struct {
+	driver   string
+	deviceID uint16
+	pciClass uint32
+}{
+	DevNet: {"virtio-net", 0x1000, 0x020000},
+	DevBlk: {"virtio-blk", 0x1001, 0x010000},
+}
+
+// NewVirtioFunction builds the PCI function of a class's virtio device
+// (vendor 0x1af4).
+func NewVirtioFunction(name string, class DeviceClass) *pci.Function {
+	id := virtioIDs[class]
+	return pci.NewFunction(name, 0x1af4, id.deviceID, id.pciClass)
+}
+
+// AttachParavirt gives the VM a virtio device of the given class emulated by
+// its own hypervisor (the traditional virtual I/O model). For a nested VM
+// this builds the cascade: the provider's own device of the same class
+// becomes the lower link.
+func AttachParavirt(vm *VM, class DeviceClass, name string) (*AssignedDevice, error) {
+	fn := NewVirtioFunction(name, class)
+	if err := fn.Bind(virtioIDs[class].driver); err != nil {
 		return nil, err
 	}
 	dev := &AssignedDevice{
 		Name:          name,
-		Class:         DevNet,
+		Class:         class,
 		VM:            vm,
-		Net:           nd,
+		Fn:            fn,
 		ProviderLevel: vm.Owner.Level,
-		Doorbell:      doorbell,
+		Doorbell:      vm.AllocMMIO(mem.PageSize),
 		DoorbellSize:  mem.PageSize,
-		IRQ:           apic.VectorVirtioIRQ,
+		// Each class completes on its own vector: net on VectorVirtioIRQ,
+		// blk on the next one.
+		IRQ: apic.VectorVirtioIRQ + apic.Vector(class),
 		// Host-provided virtio with vhost uses posted interrupts; a guest
 		// hypervisor's device relies on its (emulated) APICv, which the host
 		// backs with real posted interrupts, so delivery into the VM is
@@ -115,73 +140,15 @@ func AttachParavirtNet(vm *VM, name string) (*AssignedDevice, error) {
 		// provider level and is charged by the world engine.
 		PostedDelivery: true,
 	}
-	dev.DMAView = vm.Memory()
-	if err := programMSIX(nd.Device, dev.IRQ); err != nil {
-		return nil, err
-	}
-	if vm.Owner.Level > 0 {
-		hostVM := vm.Owner.HostVM
-		lower := hostVM.FindDevice(DevNet)
+	if hostVM := vm.Owner.HostVM; hostVM != nil {
+		lower := hostVM.FindDevice(class)
 		if lower == nil {
-			return nil, fmt.Errorf("hyper: %s: provider VM %s has no net device to back the cascade", name, hostVM.Name)
+			return nil, fmt.Errorf("hyper: %s: provider VM %s has no %s device to back the cascade", name, hostVM.Name, virtioIDs[class].driver)
 		}
 		dev.Lower = lower
 	}
 	vm.Devices = append(vm.Devices, dev)
 	return dev, nil
-}
-
-// AttachParavirtBlk gives the VM a virtio-blk device emulated by its own
-// hypervisor, cascading like AttachParavirtNet for nested VMs.
-func AttachParavirtBlk(vm *VM, name string) (*AssignedDevice, error) {
-	doorbell := vm.AllocMMIO(mem.PageSize)
-	// A nested blk device ultimately stores into the same SSD through the
-	// cascade; the device model writes the backing store directly while the
-	// cost path charges each interposed level.
-	bd, err := virtio.NewBlkDevice(name, doorbell, vm.Owner.Machine.SSD.Backing)
-	if err != nil {
-		return nil, err
-	}
-	vm.Bus.AutoAdd(bd.Fn)
-	if err := bd.Fn.Bind("virtio-blk"); err != nil {
-		return nil, err
-	}
-	dev := &AssignedDevice{
-		Name:           name,
-		Class:          DevBlk,
-		VM:             vm,
-		Blk:            bd,
-		ProviderLevel:  vm.Owner.Level,
-		Doorbell:       doorbell,
-		DoorbellSize:   mem.PageSize,
-		IRQ:            apic.VectorVirtioIRQ + 1,
-		PostedDelivery: true,
-	}
-	dev.DMAView = vm.Memory()
-	if err := programMSIX(bd.Device, dev.IRQ); err != nil {
-		return nil, err
-	}
-	if vm.Owner.Level > 0 {
-		lower := vm.Owner.HostVM.FindDevice(DevBlk)
-		if lower == nil {
-			return nil, fmt.Errorf("hyper: %s: provider VM %s has no blk device to back the cascade", name, vm.Owner.HostVM.Name)
-		}
-		dev.Lower = lower
-	}
-	vm.Devices = append(vm.Devices, dev)
-	return dev, nil
-}
-
-// programMSIX sets up a virtio device's per-queue interrupt vectors: queue
-// i uses vector base+i, as the guest's driver would program during probe.
-func programMSIX(d *virtio.Device, base apic.Vector) error {
-	for qi := 0; qi < d.NumQueues(); qi++ {
-		if err := d.MSIX.SetEntry(qi, uint64(qi), uint32(base)+uint32(qi)); err != nil {
-			return err
-		}
-	}
-	d.MSIX.SetEnabled(true)
-	return nil
 }
 
 // AttachPassthroughNIC assigns a physical SR-IOV virtual function to the VM
@@ -189,7 +156,8 @@ func programMSIX(d *virtio.Device, base apic.Vector) error {
 // intermediate level must expose an IOMMU for its hypervisor to program; the
 // physical IOMMU's posted-interrupt support delivers completions without
 // exits, and doorbell MMIO is mapped straight through the EPT chain so kicks
-// never exit.
+// never exit. The translation itself is charged from calibrated costs, so no
+// per-device IOMMU state is kept.
 func AttachPassthroughNIC(vm *VM, vf *pci.Function) (*AssignedDevice, error) {
 	if vf.VFParent == nil {
 		return nil, fmt.Errorf("hyper: %s is not an SR-IOV virtual function", vf.Name)
@@ -197,12 +165,12 @@ func AttachPassthroughNIC(vm *VM, vf *pci.Function) (*AssignedDevice, error) {
 	// Walk the chain from L1 up to the target VM, checking each level has an
 	// IOMMU its hypervisor can program for the assignment.
 	m := vm.Owner.Machine
-	if m.IOMMU == nil {
+	if !m.Caps.Has(vmx.CapIOMMU) {
 		return nil, fmt.Errorf("hyper: passthrough to %s requires a physical IOMMU", vm.Name)
 	}
 	for cur := vm; cur.Owner.HostVM != nil; cur = cur.Owner.HostVM {
 		hostVM := cur.Owner.HostVM
-		if hostVM.VIOMMU == nil {
+		if !hostVM.HasVIOMMU() {
 			return nil, fmt.Errorf("hyper: passthrough to %s requires a virtual IOMMU in %s", vm.Name, hostVM.Name)
 		}
 	}
@@ -212,23 +180,17 @@ func AttachPassthroughNIC(vm *VM, vf *pci.Function) (*AssignedDevice, error) {
 	if err := vf.Bind("vfio-pci"); err != nil {
 		return nil, err
 	}
-	dom := m.IOMMU.CreateDomain(vm.Name)
-	if err := m.IOMMU.Attach(vf, dom); err != nil {
-		return nil, err
-	}
-	doorbell := vm.AllocMMIO(mem.PageSize)
 	dev := &AssignedDevice{
 		Name:           vf.Name,
 		Class:          DevNet,
 		VM:             vm,
-		Phys:           vf,
+		Fn:             vf,
 		ProviderLevel:  -1,
-		Doorbell:       doorbell,
+		Doorbell:       vm.AllocMMIO(mem.PageSize),
 		DoorbellSize:   mem.PageSize,
 		IRQ:            apic.VectorVirtioIRQ,
-		PostedDelivery: m.IOMMU.PostedCapable(),
+		PostedDelivery: m.Caps.Has(vmx.CapIOMMUPostedInterrupts),
 	}
-	vm.Bus.AutoAdd(vf)
 	vm.Devices = append(vm.Devices, dev)
 	return dev, nil
 }

@@ -38,7 +38,7 @@ func reasonFor(op Op) vmx.ExitReason {
 }
 
 // Execute runs one guest operation issued by vCPU v and returns its cost in
-// cycles. State effects (timer arming, IPI posting, ring processing, idle
+// cycles. State effects (timer arming, IPI posting, backend kicks, idle
 // transitions) are applied along the way. Execute is the simulator's
 // equivalent of "the guest executed a trapping instruction": it opens an
 // exit transaction and flows it through the pipeline stages.
@@ -103,7 +103,7 @@ func (w *World) stageFastPath(tx *ExitContext) (bool, error) {
 		if dev == nil {
 			return false, fmt.Errorf("hyper: %s: doorbell write to unmapped %#x", tx.V.Path(), uint64(tx.Op.Addr))
 		}
-		if dev.Phys != nil {
+		if !dev.Virtual() {
 			// Device passthrough: the doorbell is EPT-mapped to the physical
 			// device; a posted write, no exit at any level.
 			stats.Inc(trace.CounterPassthroughKicks, 1)

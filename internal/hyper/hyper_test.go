@@ -126,7 +126,7 @@ func TestSendIPICalibration(t *testing.T) {
 func TestDevNotifyCalibration(t *testing.T) {
 	// Paper Table 3: DevNotify VM = 4,984; nested paravirtual = 48,390.
 	w1, vms1 := testStack(t, 1)
-	dev1, err := AttachParavirtNet(vms1[0], "net0")
+	dev1, err := AttachParavirt(vms1[0], DevNet, "net0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestDevNotifyCalibration(t *testing.T) {
 	}
 
 	w2, vms2 := testStack(t, 2)
-	if _, err := AttachParavirtNet(vms2[0], "net0"); err != nil {
+	if _, err := AttachParavirt(vms2[0], DevNet, "net0"); err != nil {
 		t.Fatal(err)
 	}
-	dev2, err := AttachParavirtNet(vms2[1], "net1")
+	dev2, err := AttachParavirt(vms2[1], DevNet, "net1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestDevNotifyL3ParavirtualCascades(t *testing.T) {
 	// kicks its L1 device (forwarded to L1), whose backend kicks the L0
 	// device. Paper Table 3: 1,008,935 cycles.
 	w, vms := testStack(t, 3)
-	if _, err := AttachParavirtNet(vms[0], "net0"); err != nil {
+	if _, err := AttachParavirt(vms[0], DevNet, "net0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AttachParavirtNet(vms[1], "net1"); err != nil {
+	if _, err := AttachParavirt(vms[1], DevNet, "net1"); err != nil {
 		t.Fatal(err)
 	}
-	dev3, err := AttachParavirtNet(vms[2], "net2")
+	dev3, err := AttachParavirt(vms[2], DevNet, "net2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +277,10 @@ func TestEOIVirtualizedByAPICv(t *testing.T) {
 
 func TestDeliverDeviceIRQPostedVsExitPath(t *testing.T) {
 	w, vms := testStack(t, 2)
-	if _, err := AttachParavirtNet(vms[0], "net0"); err != nil {
+	if _, err := AttachParavirt(vms[0], DevNet, "net0"); err != nil {
 		t.Fatal(err)
 	}
-	dev, err := AttachParavirtNet(vms[1], "net1")
+	dev, err := AttachParavirt(vms[1], DevNet, "net1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func (w *World) deviceRX(dev *AssignedDevice, target *VCPU) (sim.Cycles, error) 
 	var cost sim.Cycles
 	w.Host.Machine.NIC.RxFrames++
 
-	if dev.Phys == nil {
+	if dev.Virtual() {
 		provider := dev.ProviderLevel
 		var stack []*Hypervisor
 		if provider >= 1 {

@@ -12,8 +12,8 @@ import (
 // policy all do.
 
 // DetachDevice removes a device from the VM: the doorbell window stops
-// decoding, drivers are unbound, and passthrough functions leave the IOMMU
-// domain and the VM's bus.
+// decoding and the function's driver is unbound, so a passthrough VF can be
+// assigned again.
 func (vm *VM) DetachDevice(dev *AssignedDevice) error {
 	idx := -1
 	for i, d := range vm.Devices {
@@ -26,20 +26,7 @@ func (vm *VM) DetachDevice(dev *AssignedDevice) error {
 		return fmt.Errorf("hyper: device %s not attached to %s", dev.Name, vm.Name)
 	}
 	vm.Devices = append(vm.Devices[:idx], vm.Devices[idx+1:]...)
-	switch {
-	case dev.Phys != nil:
-		if m := vm.Owner.Machine; m.IOMMU != nil {
-			m.IOMMU.Detach(dev.Phys)
-		}
-		dev.Phys.Unbind()
-		vm.Bus.Remove(dev.Phys.Addr)
-	case dev.Net != nil:
-		dev.Net.Fn.Unbind()
-		vm.Bus.Remove(dev.Net.Fn.Addr)
-	case dev.Blk != nil:
-		dev.Blk.Fn.Unbind()
-		vm.Bus.Remove(dev.Blk.Fn.Addr)
-	}
+	dev.Fn.Unbind()
 	return nil
 }
 

@@ -97,7 +97,7 @@ func TestForwardPlanReplayEquivalence(t *testing.T) {
 				var dev *AssignedDevice
 				for _, vm := range vms {
 					var err error
-					if dev, err = AttachParavirtNet(vm, "net"); err != nil {
+					if dev, err = AttachParavirt(vm, DevNet, "net"); err != nil {
 						t.Fatal(err)
 					}
 				}

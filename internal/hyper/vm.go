@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/apic"
-	"repro/internal/iommu"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/pci"
 	"repro/internal/vmx"
 )
 
@@ -46,7 +44,7 @@ func NewHost(m *machine.Machine, p Personality) *Hypervisor {
 // carve reserves n contiguous frames of this hypervisor's memory. For a
 // guest hypervisor the reservation comes from its host VM's single page
 // allocator, so VM memory never aliases the pages that VM hands out for its
-// own structures (rings, mapping tables).
+// own structures (mapping tables, DMA buffers).
 func (h *Hypervisor) carve(n mem.PFN) (mem.PFN, error) {
 	if h.HostVM != nil {
 		base := h.HostVM.allocNext
@@ -87,11 +85,7 @@ type VM struct {
 	EPT        *mem.PageTable // GPA frame → owner-level frame (lazily filled)
 
 	VCPUs   []*VCPU
-	Bus     *pci.Bus
 	Devices []*AssignedDevice
-	// VIOMMU is the virtual IOMMU Owner exposes, when configured (required
-	// for any passthrough out of this VM).
-	VIOMMU *iommu.IOMMU
 	// GuestHyp is the hypervisor running inside, if any.
 	GuestHyp *Hypervisor
 
@@ -152,7 +146,6 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 		NumPages:   pages,
 		parentBase: base,
 		EPT:        mem.NewPageTable(),
-		Bus:        pci.NewBus(),
 		written:    mem.NewBitmap(uint64(pages)),
 		allocNext:  16, // leave a low region for firmware-ish structures
 		mmioNext:   0xf000_0000,
@@ -248,9 +241,11 @@ func (vm *VM) InstallHypervisor(p Personality, name string) *Hypervisor {
 
 // ProvideVIOMMU exposes a virtual IOMMU inside the VM. posted selects
 // whether the vIOMMU advertises interrupt posting (the paper's full DVH
-// configuration adds this; plain DVH-VP runs without it).
-func (vm *VM) ProvideVIOMMU(posted bool) *iommu.IOMMU {
-	vm.VIOMMU = iommu.New(fmt.Sprintf("%s/viommu", vm.Name), posted)
+// configuration adds this; plain DVH-VP runs without it). The vIOMMU is its
+// capability bits: DMA translation is charged from calibrated costs, and
+// virtual-passthrough folds the chain into the host's shadow table
+// (core.VPState), so no per-level tables are kept.
+func (vm *VM) ProvideVIOMMU(posted bool) {
 	vm.Caps = vm.Caps.With(vmx.CapIOMMU)
 	if posted {
 		vm.Caps = vm.Caps.With(vmx.CapIOMMUPostedInterrupts)
@@ -262,8 +257,11 @@ func (vm *VM) ProvideVIOMMU(posted bool) *iommu.IOMMU {
 	// post-setup vIOMMU grant must move CapsGen or a cached plan would
 	// replay the pre-vIOMMU exit tree.
 	vm.Owner.Machine.CapsGen++
-	return vm.VIOMMU
 }
+
+// HasVIOMMU reports whether Owner exposes a virtual IOMMU inside the VM,
+// which any passthrough out of this VM requires.
+func (vm *VM) HasVIOMMU() bool { return vm.Caps.Has(vmx.CapIOMMU) }
 
 // AllocPages reserves n guest pages for drivers and workloads, returning the
 // base address. Exhaustion is an error, not a panic: how much a driver or
@@ -313,12 +311,21 @@ func (vm *VM) ensureMapped(p mem.PFN, access mem.Perm) (mem.PFN, error) {
 	if w := vm.EPT.Lookup(p, access); w.Present {
 		return w.PFN, nil
 	}
+	return vm.faultIn(p, access), nil
+}
+
+// faultIn installs the translation for a frame's first touch. Building
+// page-table nodes legitimately allocates; steady-state accesses hit the
+// existing mapping and never get here.
+//
+//nvlint:cold
+func (vm *VM) faultIn(p mem.PFN, access mem.Perm) mem.PFN {
 	target := vm.parentBase + p
 	vm.EPT.Map(p, target, mem.PermRWX)
 	if access != 0 {
 		vm.EPT.Lookup(p, access) // stamp A/D on the fresh mapping
 	}
-	return target, nil
+	return target
 }
 
 // TranslateToHost resolves a guest-physical address down the whole nesting
@@ -342,9 +349,7 @@ func (vm *VM) translateToHost(a mem.Addr, access mem.Perm) (mem.Addr, error) {
 // Memory returns a byte-addressable view of the VM's guest-physical memory,
 // backed (through the EPT chain) by machine memory, with per-level dirty
 // tracking on writes.
-func (vm *VM) Memory() *GuestMemory {
-	return &GuestMemory{vm: vm} //nvlint:ignore hotalloc one-word view; reached only on ring-processing paths, never on steady kicks
-}
+func (vm *VM) Memory() GuestMemory { return GuestMemory{vm: vm} }
 
 // StartDirtyLog begins recording written guest frames (pre-copy migration).
 func (vm *VM) StartDirtyLog() { vm.dirty = mem.NewBitmap(uint64(vm.NumPages)) }
@@ -393,27 +398,43 @@ func (vm *VM) markWrite(p mem.PFN) {
 	}
 }
 
-// GuestMemory adapts a VM's guest-physical space to the virtio DMA
-// interface. All bytes live in machine memory; reads and writes translate
+// GuestMemory is a VM's guest-physical space as software inside it sees
+// it. All bytes live in machine memory; reads and writes translate
 // through the EPT chain, and writes update every level's dirty bookkeeping.
 type GuestMemory struct {
 	vm *VM
 }
 
 // Read copies bytes out of guest memory.
-func (g *GuestMemory) Read(a mem.Addr, buf []byte) error {
-	//nvlint:ignore hotalloc closure is called directly by chunked and does not escape (stack-allocated)
-	return g.chunked(a, len(buf), mem.PermRead, func(host mem.Addr, off, n int) error {
-		return g.vm.Owner.Machine.Memory.Read(host, buf[off:off+n])
-	})
+func (g GuestMemory) Read(a mem.Addr, buf []byte) error {
+	for off := 0; off < len(buf); {
+		host, n, err := g.chunk(a+mem.Addr(off), len(buf)-off, mem.PermRead)
+		if err != nil {
+			return err
+		}
+		if err := g.vm.Owner.Machine.Memory.Read(host, buf[off:off+n]); err != nil {
+			return err
+		}
+		off += n
+	}
+	return nil
 }
 
 // Write copies bytes into guest memory, marking dirty pages at every level.
-func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
-	return g.chunked(a, len(buf), mem.PermWrite, func(host mem.Addr, off, n int) error {
-		g.vm.markWrite(mem.PageOf(a + mem.Addr(off)))
-		return g.vm.Owner.Machine.Memory.Write(host, buf[off:off+n])
-	})
+func (g GuestMemory) Write(a mem.Addr, buf []byte) error {
+	for off := 0; off < len(buf); {
+		ga := a + mem.Addr(off)
+		host, n, err := g.chunk(ga, len(buf)-off, mem.PermWrite)
+		if err != nil {
+			return err
+		}
+		g.vm.markWrite(mem.PageOf(ga))
+		if err := g.vm.Owner.Machine.Memory.Write(host, buf[off:off+n]); err != nil {
+			return err
+		}
+		off += n
+	}
+	return nil
 }
 
 // SharePageTo gives frame p of dst the content of frame p of g without
@@ -422,7 +443,7 @@ func (g *GuestMemory) Write(a mem.Addr, buf []byte) error {
 // write, and the write is recorded at every destination level, so EPT A/D
 // bits and dirty logs end up exactly as after reading the page from g and
 // writing it to dst.
-func (g *GuestMemory) SharePageTo(dst *GuestMemory, p mem.PFN) error {
+func (g GuestMemory) SharePageTo(dst GuestMemory, p mem.PFN) error {
 	hs, err := g.vm.translateToHost(p.Base(), mem.PermRead)
 	if err != nil {
 		return err
@@ -435,31 +456,16 @@ func (g *GuestMemory) SharePageTo(dst *GuestMemory, p mem.PFN) error {
 	return mem.SharePage(g.vm.Owner.Machine.Memory, mem.PageOf(hs), dst.vm.Owner.Machine.Memory, mem.PageOf(hd))
 }
 
-// chunked walks [a, a+n) page by page, translating each piece with the access
-// kind so EPT A/D bits at every level record it.
-func (g *GuestMemory) chunked(a mem.Addr, n int, access mem.Perm, fn func(host mem.Addr, off, n int) error) error {
-	off := 0
-	for n > 0 {
-		step := mem.PageSize - int(a&(mem.PageSize-1))
-		if step > n {
-			step = n
-		}
-		host, err := g.vm.translateToHost(a, access)
-		if err != nil {
-			return err
-		}
-		if err := fn(host, off, step); err != nil {
-			return err
-		}
-		a += mem.Addr(step)
-		off += step
-		n -= step
-	}
-	return nil
+// chunk translates the piece of [a, a+n) that lies in a's page, with the
+// access kind so EPT A/D bits at every level record it, and returns its host
+// address and length.
+func (g GuestMemory) chunk(a mem.Addr, n int, access mem.Perm) (mem.Addr, int, error) {
+	host, err := g.vm.translateToHost(a, access)
+	return host, min(mem.PageSize-int(a&(mem.PageSize-1)), n), err
 }
 
 // ReadU64 reads a little-endian quadword from guest memory.
-func (g *GuestMemory) ReadU64(a mem.Addr) (uint64, error) {
+func (g GuestMemory) ReadU64(a mem.Addr) (uint64, error) {
 	var b [8]byte
 	if err := g.Read(a, b[:]); err != nil {
 		return 0, err
@@ -472,7 +478,7 @@ func (g *GuestMemory) ReadU64(a mem.Addr) (uint64, error) {
 }
 
 // WriteU64 writes a little-endian quadword into guest memory.
-func (g *GuestMemory) WriteU64(a mem.Addr, v uint64) error {
+func (g GuestMemory) WriteU64(a mem.Addr, v uint64) error {
 	var b [8]byte
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))

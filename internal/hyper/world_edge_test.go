@@ -142,10 +142,10 @@ func TestDeviceRXPassthroughSkipsBackends(t *testing.T) {
 
 func TestDeviceRXCascadeCostGrowsWithProviderLevel(t *testing.T) {
 	w2, vms2 := testStack(t, 2)
-	if _, err := AttachParavirtNet(vms2[0], "n0"); err != nil {
+	if _, err := AttachParavirt(vms2[0], DevNet, "n0"); err != nil {
 		t.Fatal(err)
 	}
-	dev2, err := AttachParavirtNet(vms2[1], "n1")
+	dev2, err := AttachParavirt(vms2[1], DevNet, "n1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDeviceRXCascadeCostGrowsWithProviderLevel(t *testing.T) {
 	}
 
 	w1, vms1 := testStack(t, 1)
-	dev1, err := AttachParavirtNet(vms1[0], "n0")
+	dev1, err := AttachParavirt(vms1[0], DevNet, "n0")
 	if err != nil {
 		t.Fatal(err)
 	}

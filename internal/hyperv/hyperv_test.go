@@ -49,7 +49,7 @@ func TestHyperVForwardedExitMagnitude(t *testing.T) {
 
 func TestHyperVUsesDVHVPUnmodified(t *testing.T) {
 	d, w, l2 := buildHyperVOnKVM(t, core.FeaturesVP)
-	dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(l2, hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}

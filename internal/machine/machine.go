@@ -1,15 +1,15 @@
 // Package machine assembles the physical platform the simulation runs on:
-// CPUs with local APICs, host physical memory, the PCI bus with an SR-IOV
-// capable NIC and an SSD, a VT-d style IOMMU, and the discrete-event engine
-// and stats sink everything shares. The default topology mirrors the paper's
-// CloudLab c220g-class servers (Xeon Silver 4114, 10 GbE X520, SATA SSD).
+// CPUs with local APICs, host physical memory, an SR-IOV capable NIC, and
+// the discrete-event engine and stats sink everything shares. A VT-d style
+// IOMMU is a capability bit (vmx.CapIOMMU, with vmx.CapIOMMUPostedInterrupts
+// for interrupt posting): DMA translation is charged from calibrated costs,
+// so the unit has no state of its own. The default topology mirrors the
+// paper's CloudLab c220g-class servers (Xeon Silver 4114, 10 GbE X520).
 package machine
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/iommu"
 	"repro/internal/mem"
 	"repro/internal/pci"
 	"repro/internal/sim"
@@ -28,34 +28,11 @@ type PCPU struct {
 	Busy sim.Cycles
 }
 
-// NIC is the physical network adapter: a PCI function with SR-IOV and a
-// simple line-rate model.
+// NIC is the physical network adapter: a PCI function with SR-IOV.
 type NIC struct {
 	Fn *pci.Function
-	// LineRateBitsPerSec is the port speed (10 Gb/s on the paper's testbed).
-	LineRateBitsPerSec uint64
 	// TxFrames/RxFrames count frames crossing the wire.
 	TxFrames, RxFrames uint64
-}
-
-// WireCycles returns the cycles a frame of n bytes occupies the link at the
-// machine clock rate — the serialization component of network latency.
-func (n *NIC) WireCycles(bytes int, clockHz uint64) sim.Cycles {
-	if n.LineRateBitsPerSec == 0 {
-		return 0
-	}
-	bits := uint64(bytes) * 8
-	// cycles = bits / rate * clock
-	return sim.Cycles(bits * clockHz / n.LineRateBitsPerSec)
-}
-
-// SSD is the physical storage device.
-type SSD struct {
-	Fn      *pci.Function
-	Backing *mem.AddressSpace
-	// ReadLatency / WriteLatency are per-operation device latencies in
-	// cycles (DC S3500-class: ~50us read, ~60us write).
-	ReadLatency, WriteLatency sim.Cycles
 }
 
 // Config sizes a machine.
@@ -98,10 +75,7 @@ type Machine struct {
 
 	CPUs   []*PCPU
 	Memory *mem.AddressSpace
-	Bus    *pci.Bus
-	IOMMU  *iommu.IOMMU
 	NIC    *NIC
-	SSD    *SSD
 
 	// TopoGen counts VM-topology mutations on this machine (VM creation and
 	// destruction, hypervisor installation, vCPU repinning). Per-vCPU caches
@@ -136,37 +110,18 @@ func New(cfg Config) (*Machine, error) {
 		Caps:    cfg.Caps,
 		ClockHz: cfg.ClockHz,
 		Memory:  mem.NewAddressSpace(cfg.Name+"/ram", cfg.MemoryBytes),
-		Bus:     pci.NewBus(),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		m.CPUs = append(m.CPUs, &PCPU{ID: i, LAPIC: apic.NewLAPIC(uint32(i))})
 	}
-	if cfg.Caps.Has(vmx.CapIOMMU) {
-		m.IOMMU = iommu.New(cfg.Name+"/vtd0", cfg.Caps.Has(vmx.CapIOMMUPostedInterrupts))
-	}
 
 	// Physical 10 GbE NIC (Intel X520-DA2) with SR-IOV.
-	nicFn := pci.NewFunction("x520", pci.Address{Bus: 0, Device: 3}, 0x8086, 0x10fb, 0x020000)
-	if err := m.Bus.Add(nicFn); err != nil {
-		return nil, err
-	}
-	m.NIC = &NIC{Fn: nicFn, LineRateBitsPerSec: 10_000_000_000}
+	nicFn := pci.NewFunction("x520", 0x8086, 0x10fb, 0x020000)
+	m.NIC = &NIC{Fn: nicFn}
 	if cfg.Caps.Has(vmx.CapSRIOV) && cfg.NICVFs > 0 {
 		if err := pci.EnableSRIOV(nicFn, uint16(cfg.NICVFs)); err != nil {
 			return nil, err
 		}
-	}
-
-	// SATA SSD (Intel DC S3500 480GB).
-	ssdFn := pci.NewFunction("s3500", pci.Address{Bus: 0, Device: 4}, 0x8086, 0x0740, 0x010000)
-	if err := m.Bus.Add(ssdFn); err != nil {
-		return nil, err
-	}
-	m.SSD = &SSD{
-		Fn:           ssdFn,
-		Backing:      mem.NewAddressSpace(cfg.Name+"/ssd", 480<<30),
-		ReadLatency:  sim.FromDuration(50*time.Microsecond, cfg.ClockHz),
-		WriteLatency: sim.FromDuration(60*time.Microsecond, cfg.ClockHz),
 	}
 	return m, nil
 }
@@ -192,5 +147,5 @@ func (m *Machine) CPU(i int) (*PCPU, error) {
 
 // CreateVFs provisions n SR-IOV virtual functions on the physical NIC.
 func (m *Machine) CreateVFs(n int) ([]*pci.Function, error) {
-	return pci.CreateVFs(m.Bus, m.NIC.Fn, n)
+	return pci.CreateVFs(m.NIC.Fn, n)
 }

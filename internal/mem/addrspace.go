@@ -1,12 +1,12 @@
 // Package mem models guest-physical memory and the translation structures
 // the virtualization stack is built on: sparse byte-addressable address
 // spaces with copy-on-write frame sharing, bitmaps, and real 4-level page
-// tables used both as EPTs (CPU side) and as IOMMU translation tables (DMA
-// side). Write tracking is not kept here: each VM level logs its own CPU
+// tables used both as EPTs (CPU side) and as the combined shadow table
+// virtual-passthrough DMA translates through (DMA side). Write tracking is not kept here: each VM level logs its own CPU
 // writes (hyper.VM) and the host logs device DMA (core.VPState), as the
 // paper divides it.
 //
-// Bytes really move: virtio rings, DMA buffers and migration all read and
+// Bytes really move: DMA payloads, VCIMTs and migration all read and
 // write AddressSpace content, so a mapping bug shows up as corrupted data in
 // tests, not as a silently wrong cycle count.
 package mem

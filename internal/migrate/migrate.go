@@ -132,7 +132,7 @@ func (p *Plan) Run() (Report, error) {
 			p.Dest.Name, p.Dest.NumPages, p.VM.Name, p.VM.NumPages)
 	}
 	for _, dev := range p.VM.Devices {
-		if dev.Phys != nil {
+		if !dev.Virtual() {
 			return rep, fmt.Errorf("migrate: %s has physical device %s assigned; migration does not work using passthrough", p.VM.Name, dev.Name)
 		}
 	}

@@ -51,11 +51,11 @@ func buildRig(t *testing.T, features core.Features) *rig {
 	_, dd, _, dst := mkStack("dst")
 	r := &rig{dvh: d, w: w, l1: l1, l2: l2, dst: dst}
 	if features.Has(core.FeatureVirtualPassthrough) {
-		dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net")
+		dev, err := d.AttachVirtualPassthrough(l2, hyper.DevNet, "vp-net")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dd.AttachVirtualPassthroughNet(dst, "vp-net"); err != nil {
+		if _, err := dd.AttachVirtualPassthrough(dst, hyper.DevNet, "vp-net"); err != nil {
 			t.Fatal(err)
 		}
 		vp, _ := d.VPStateOf(dev)
@@ -67,10 +67,10 @@ func buildRig(t *testing.T, features core.Features) *rig {
 
 func TestMigrationParavirtCorrect(t *testing.T) {
 	r := buildRig(t, 0)
-	if _, err := hyper.AttachParavirtNet(r.l1, "net-l1"); err != nil {
+	if _, err := hyper.AttachParavirt(r.l1, hyper.DevNet, "net-l1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hyper.AttachParavirtNet(r.l2, "net-l2"); err != nil {
+	if _, err := hyper.AttachParavirt(r.l2, hyper.DevNet, "net-l2"); err != nil {
 		t.Fatal(err)
 	}
 	p := &Plan{

@@ -27,7 +27,7 @@ func Snapshot(vm *hyper.VM, d *core.DVH) ([]byte, error) {
 		return nil, fmt.Errorf("migrate: nil VM")
 	}
 	for _, dev := range vm.Devices {
-		if dev.Phys != nil {
+		if !dev.Virtual() {
 			return nil, fmt.Errorf("migrate: cannot snapshot %s: physical device %s assigned", vm.Name, dev.Name)
 		}
 	}

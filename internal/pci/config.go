@@ -1,8 +1,8 @@
 // Package pci models the PCI device plumbing virtual-passthrough depends on:
-// configuration space with a standard header, capability chains, BARs, MSI,
-// SR-IOV virtual functions, and the paper's new *migration capability*
-// (Section 3.6) through which a guest hypervisor asks the host hypervisor to
-// capture virtual-device state and redirect dirty-page logging.
+// configuration space with a standard header and a capability chain, driver
+// binding, SR-IOV virtual functions, and the paper's new *migration
+// capability* (Section 3.6) through which a guest hypervisor asks the host
+// hypervisor to capture virtual-device state and redirect dirty-page logging.
 //
 // Virtual-passthrough works precisely because the host hypervisor's virtual
 // I/O devices conform to the physical PCI interface specification, so a guest
@@ -16,23 +16,13 @@ import "fmt"
 const (
 	offVendorID  = 0x00
 	offDeviceID  = 0x02
-	offCommand   = 0x04
 	offStatus    = 0x06
 	offRevision  = 0x08
 	offClassCode = 0x09
-	offHeader    = 0x0e
-	offBAR0      = 0x10
 	offCapPtr    = 0x34
-	offIntLine   = 0x3c
 
 	// statusCapList advertises a capability chain.
 	statusCapList = 1 << 4
-
-	// Command register bits.
-	CmdIOSpace    = 1 << 0
-	CmdMemSpace   = 1 << 1
-	CmdBusMaster  = 1 << 2
-	CmdIntDisable = 1 << 10
 )
 
 // CapID identifies a PCI capability.
@@ -43,7 +33,6 @@ const (
 	CapMSI    CapID = 0x05
 	CapVendor CapID = 0x09
 	CapPCIe   CapID = 0x10
-	CapMSIX   CapID = 0x11
 	// CapSRIOV lives in PCIe extended config space on hardware; the model
 	// keeps all capabilities in one chain for simplicity.
 	CapSRIOV CapID = 0x20
@@ -62,8 +51,6 @@ func (c CapID) String() string {
 		return "VENDOR"
 	case CapPCIe:
 		return "PCIe"
-	case CapMSIX:
-		return "MSI-X"
 	case CapSRIOV:
 		return "SR-IOV"
 	case CapMigration:
@@ -93,9 +80,6 @@ func NewConfigSpace(vendor, device uint16, class uint32) *ConfigSpace {
 	return c
 }
 
-// ReadU8 reads one byte of config space.
-func (c *ConfigSpace) ReadU8(off int) uint8 { return c.bytes[off] }
-
 // ReadU16 reads a little-endian 16-bit register.
 func (c *ConfigSpace) ReadU16(off int) uint16 {
 	return uint16(c.bytes[off]) | uint16(c.bytes[off+1])<<8
@@ -105,9 +89,6 @@ func (c *ConfigSpace) ReadU16(off int) uint16 {
 func (c *ConfigSpace) ReadU32(off int) uint32 {
 	return uint32(c.ReadU16(off)) | uint32(c.ReadU16(off+2))<<16
 }
-
-// WriteU8 writes one byte.
-func (c *ConfigSpace) WriteU8(off int, v uint8) { c.bytes[off] = v }
 
 // WriteU16 writes a little-endian 16-bit register.
 func (c *ConfigSpace) WriteU16(off int, v uint16) {
@@ -126,42 +107,6 @@ func (c *ConfigSpace) VendorID() uint16 { return c.ReadU16(offVendorID) }
 
 // DeviceID returns the device identifier.
 func (c *ConfigSpace) DeviceID() uint16 { return c.ReadU16(offDeviceID) }
-
-// Command returns the command register.
-func (c *ConfigSpace) Command() uint16 { return c.ReadU16(offCommand) }
-
-// SetCommand ors bits into the command register (bus mastering, memory
-// space enable).
-func (c *ConfigSpace) SetCommand(bits uint16) {
-	c.WriteU16(offCommand, c.Command()|bits)
-}
-
-// ClearCommand removes command register bits.
-func (c *ConfigSpace) ClearCommand(bits uint16) {
-	c.WriteU16(offCommand, c.Command()&^bits)
-}
-
-// SetBAR programs base address register i (0..5) with a memory address. The
-// index is a compile-time property of every device model (BAR numbers are
-// part of a device's programming interface, never data-driven), so an
-// out-of-range index is a true invariant violation and panics.
-func (c *ConfigSpace) SetBAR(i int, addr uint32) {
-	if i < 0 || i > 5 {
-		//nvlint:ignore nopanic BAR numbers are compile-time device properties, never data-driven
-		panic("pci: BAR index out of range")
-	}
-	c.WriteU32(offBAR0+4*i, addr)
-}
-
-// BAR reads base address register i. Like SetBAR, an out-of-range index is a
-// programming error, not a reachable configuration, and panics.
-func (c *ConfigSpace) BAR(i int) uint32 {
-	if i < 0 || i > 5 {
-		//nvlint:ignore nopanic BAR numbers are compile-time device properties, never data-driven
-		panic("pci: BAR index out of range")
-	}
-	return c.ReadU32(offBAR0 + 4*i)
-}
 
 // AddCapability appends a capability of the given body size (excluding the
 // 2-byte header) to the chain and returns the offset of its header. The
@@ -210,20 +155,4 @@ func (c *ConfigSpace) FindCapability(id CapID) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Capabilities lists the chain in order.
-func (c *ConfigSpace) Capabilities() []CapID {
-	var out []CapID
-	if c.ReadU16(offStatus)&statusCapList == 0 {
-		return nil
-	}
-	seen := 0
-	for p := int(c.bytes[offCapPtr]); p != 0; p = int(c.bytes[p+1]) {
-		out = append(out, CapID(c.bytes[p]))
-		if seen++; seen > 48 {
-			break
-		}
-	}
-	return out
 }

@@ -1,29 +1,14 @@
 package pci
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Address is a PCI bus/device/function address.
-type Address struct {
-	Bus, Device, Function uint8
-}
-
-func (a Address) String() string {
-	return fmt.Sprintf("%02x:%02x.%d", a.Bus, a.Device, a.Function)
-}
-
-// Function is one PCI function: a configuration space plus the identity and
-// ownership bookkeeping the simulator's passthrough machinery needs. Device
-// behavior (rings, registers) lives with the device model that embeds it.
+// Function is one PCI function: a configuration space plus the driver
+// binding the simulator's passthrough machinery checks. The I/O cost model
+// charges device work per transaction, so no ring or register behavior
+// hangs off it.
 type Function struct {
 	Name   string
-	Addr   Address
 	Config *ConfigSpace
-	// IsVirtual marks host-hypervisor-provided virtual devices — the ones
-	// virtual-passthrough assigns — as opposed to physical hardware.
-	IsVirtual bool
 	// VFParent points at the physical function for SR-IOV virtual functions.
 	VFParent *Function
 
@@ -31,10 +16,9 @@ type Function struct {
 }
 
 // NewFunction builds a PCI function with the given identity.
-func NewFunction(name string, addr Address, vendor, device uint16, class uint32) *Function {
+func NewFunction(name string, vendor, device uint16, class uint32) *Function {
 	return &Function{
 		Name:   name,
-		Addr:   addr,
 		Config: NewConfigSpace(vendor, device, class),
 	}
 }
@@ -56,87 +40,6 @@ func (f *Function) Unbind() { f.boundDriver = "" }
 // Driver returns the bound driver name ("" when unbound).
 func (f *Function) Driver() string { return f.boundDriver }
 
-// Bus is a collection of PCI functions, addressable by Address, with the
-// enumeration interface hypervisors and guests use to discover devices.
-type Bus struct {
-	funcs map[Address]*Function
-	next  uint8 // next device number for AutoAdd
-}
-
-// NewBus returns an empty bus.
-func NewBus() *Bus {
-	return &Bus{funcs: make(map[Address]*Function)}
-}
-
-// Add places a function on the bus. Duplicate addresses are rejected.
-func (b *Bus) Add(f *Function) error {
-	if _, ok := b.funcs[f.Addr]; ok {
-		return fmt.Errorf("pci: address %s already populated", f.Addr)
-	}
-	b.funcs[f.Addr] = f
-	return nil
-}
-
-// AutoAdd places a function at the next free device slot on bus 0 and
-// returns the assigned address.
-func (b *Bus) AutoAdd(f *Function) Address {
-	for {
-		addr := Address{Bus: 0, Device: b.next, Function: 0}
-		b.next++
-		if _, ok := b.funcs[addr]; !ok {
-			f.Addr = addr
-			b.funcs[addr] = f
-			return addr
-		}
-	}
-}
-
-// Remove takes a function off the bus (hot-unplug; also used when a device is
-// unassigned during migration).
-func (b *Bus) Remove(addr Address) bool {
-	if _, ok := b.funcs[addr]; !ok {
-		return false
-	}
-	delete(b.funcs, addr)
-	return true
-}
-
-// Lookup finds the function at an address.
-func (b *Bus) Lookup(addr Address) (*Function, bool) {
-	f, ok := b.funcs[addr]
-	return f, ok
-}
-
-// Scan returns every function in address order, as an enumerating OS would
-// see them.
-func (b *Bus) Scan() []*Function {
-	out := make([]*Function, 0, len(b.funcs))
-	for _, f := range b.funcs {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := out[i].Addr, out[j].Addr
-		if ai.Bus != aj.Bus {
-			return ai.Bus < aj.Bus
-		}
-		if ai.Device != aj.Device {
-			return ai.Device < aj.Device
-		}
-		return ai.Function < aj.Function
-	})
-	return out
-}
-
-// FindByName returns the first function with the given name.
-func (b *Bus) FindByName(name string) (*Function, bool) {
-	for _, f := range b.Scan() {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
 // SR-IOV capability register offsets (relative to the capability header).
 const (
 	sriovOffTotalVFs = 2
@@ -154,10 +57,9 @@ func EnableSRIOV(pf *Function, totalVFs uint16) error {
 	return nil
 }
 
-// CreateVFs instantiates n SR-IOV virtual functions of pf on the bus,
-// returning them. It fails if the PF lacks the capability or n exceeds
-// TotalVFs.
-func CreateVFs(b *Bus, pf *Function, n int) ([]*Function, error) {
+// CreateVFs instantiates n SR-IOV virtual functions of pf, returning them.
+// It fails if the PF lacks the capability or n exceeds TotalVFs.
+func CreateVFs(pf *Function, n int) ([]*Function, error) {
 	off, ok := pf.Config.FindCapability(CapSRIOV)
 	if !ok {
 		return nil, fmt.Errorf("pci: %s has no SR-IOV capability", pf.Name)
@@ -171,11 +73,9 @@ func CreateVFs(b *Bus, pf *Function, n int) ([]*Function, error) {
 	for i := 0; i < n; i++ {
 		vf := NewFunction(
 			fmt.Sprintf("%s-vf%d", pf.Name, cur+i),
-			Address{}, // assigned by AutoAdd
 			pf.Config.VendorID(), pf.Config.DeviceID()+1, uint32(pf.Config.ReadU32(offClassCode))&0xffffff,
 		)
 		vf.VFParent = pf
-		b.AutoAdd(vf)
 		vfs = append(vfs, vf)
 	}
 	pf.Config.WriteU16(off+sriovOffNumVFs, uint16(cur+n))

@@ -68,14 +68,6 @@ func AddMigrationCap(fn *Function, ops MigrationOps) (*MigrationCap, error) {
 	return &MigrationCap{fn: fn, off: off, ops: ops}, nil
 }
 
-// FindMigrationCap reports whether a function advertises the capability —
-// the probe a guest hypervisor performs before allowing a nested VM using a
-// passed-through device to migrate.
-func FindMigrationCap(fn *Function) bool {
-	_, ok := fn.Config.FindCapability(CapMigration)
-	return ok
-}
-
 // GuestWriteCtrl emulates a guest hypervisor write to the CTRL register; the
 // host hypervisor intercepts config-space writes to virtual devices, so this
 // is where the capability's behavior lives.
@@ -106,21 +98,6 @@ func (m *MigrationCap) GuestWriteCtrl(v uint16) error {
 	return nil
 }
 
-// GuestReadStatus emulates a guest read of the STATUS register.
-func (m *MigrationCap) GuestReadStatus() uint32 {
-	return m.fn.Config.ReadU32(m.off + migOffStatus)
-}
-
 // CapturedState returns the blob from the last capture, which the guest
 // hypervisor ships to the destination.
 func (m *MigrationCap) CapturedState() []byte { return m.state }
-
-// RestoreState hands a previously captured blob back to a destination host's
-// device, completing the migration hand-off. The destination must be the
-// same kind of host hypervisor, as the paper assumes.
-func (m *MigrationCap) RestoreState(blob []byte, restore func([]byte) error) error {
-	if restore == nil {
-		return fmt.Errorf("pci: no restore hook for %s", m.fn.Name)
-	}
-	return restore(blob)
-}

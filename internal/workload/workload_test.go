@@ -95,26 +95,26 @@ func buildL2(t testing.TB, dvhFeatures core.Features) (*hyper.World, *hyper.VM, 
 		if err := d.ConfigureVM(l2); err != nil {
 			t.Fatal(err)
 		}
-		net, err = d.AttachVirtualPassthroughNet(l2, "vp-net")
+		net, err = d.AttachVirtualPassthrough(l2, hyper.DevNet, "vp-net")
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk, err = d.AttachVirtualPassthroughBlk(l2, "vp-blk")
+		blk, err = d.AttachVirtualPassthrough(l2, hyper.DevBlk, "vp-blk")
 		if err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		if _, err := hyper.AttachParavirtNet(l1, "net-l1"); err != nil {
+		if _, err := hyper.AttachParavirt(l1, hyper.DevNet, "net-l1"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := hyper.AttachParavirtBlk(l1, "blk-l1"); err != nil {
+		if _, err := hyper.AttachParavirt(l1, hyper.DevBlk, "blk-l1"); err != nil {
 			t.Fatal(err)
 		}
-		net, err = hyper.AttachParavirtNet(l2, "net-l2")
+		net, err = hyper.AttachParavirt(l2, hyper.DevNet, "net-l2")
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk, err = hyper.AttachParavirtBlk(l2, "blk-l2")
+		blk, err = hyper.AttachParavirt(l2, hyper.DevBlk, "blk-l2")
 		if err != nil {
 			t.Fatal(err)
 		}

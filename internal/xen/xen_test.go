@@ -64,10 +64,10 @@ func TestXenForwardedExitCostlierThanKVM(t *testing.T) {
 
 func TestXenParavirtualCascade(t *testing.T) {
 	_, w, l1, l2 := buildXenOnKVM(t, 0)
-	if _, err := hyper.AttachParavirtNet(l1, "net0"); err != nil {
+	if _, err := hyper.AttachParavirt(l1, hyper.DevNet, "net0"); err != nil {
 		t.Fatal(err)
 	}
-	dev, err := hyper.AttachParavirtNet(l2, "net1")
+	dev, err := hyper.AttachParavirt(l2, hyper.DevNet, "net1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestXenUsesDVHVPWithoutModification(t *testing.T) {
 	// The hypervisor-agnostic claim: DVH-VP works under an unmodified Xen
 	// guest hypervisor because it only exercises the passthrough framework.
 	d, w, _, l2 := buildXenOnKVM(t, core.FeaturesVP)
-	dev, err := d.AttachVirtualPassthroughNet(l2, "vp-net0")
+	dev, err := d.AttachVirtualPassthrough(l2, hyper.DevNet, "vp-net0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@
 //	internal/mem        guest memory, page tables, dirty logging
 //	internal/apic       LAPIC, timers, IPIs, posted interrupts
 //	internal/pci        config space, SR-IOV, the DVH migration capability
-//	internal/iommu      (virtual) IOMMUs with interrupt posting
-//	internal/virtio     split virtqueues, virtio-net/blk
 //	internal/machine    the physical platform
-//	internal/hyper      the hypervisor substrate and exit multiplication
+//	internal/hyper      the hypervisor substrate, exit multiplication, and
+//	                    the virtio and passthrough devices it assigns
 //	internal/core       DVH itself (the paper's contribution)
 //	internal/xen        the Xen guest-hypervisor personality
 //	internal/workload   Table 1 microbenchmarks and Table 2 applications

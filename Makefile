@@ -22,10 +22,9 @@ race:
 
 # lint runs nvlint, the simulator-aware static analyzer (see DESIGN.md §8 and
 # §13): determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-# nopanic, and the v2 pipeline contracts (cachegen, interceptor's
-# claim-before-mutate). -unused-directives keeps the suppression
-# inventory honest: a //nvlint comment that no longer suppresses anything
-# fails the gate. VERBOSE=1 also prints the hot-path call chains and every
+# nopanic, and the v2 pipeline contract (cachegen). -unused-directives keeps
+# the suppression inventory honest: a //nvlint comment that no longer
+# suppresses anything fails the gate. VERBOSE=1 also prints the hot-path call chains and every
 # suppressed finding with its justification.
 lint:
 	$(GO) run ./cmd/nvlint -unused-directives $(if $(VERBOSE),-v,)

@@ -1,9 +1,8 @@
 // Command nvlint runs the simulator-aware static analyzer over the module:
 // determinism, hot-path allocation-freedom, exit-reason exhaustiveness,
-// no-panic engine code, and the v2 pipeline contracts (plan-cache
-// generation soundness, interceptor claim discipline). It prints one
-// file:line finding per
-// violation and exits nonzero if any are active.
+// no-panic engine code, and the v2 pipeline contract (plan-cache generation
+// soundness). It prints one file:line finding per violation and exits
+// nonzero if any are active.
 //
 // Usage:
 //

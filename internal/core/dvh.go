@@ -227,18 +227,35 @@ func (d *DVH) configureVMControls(vm *hyper.VM) {
 	}
 }
 
-// TryHandle implements hyper.Interceptor: the host inspects an exit from a
-// nested VM and, when the corresponding virtual hardware is enabled, handles
-// it directly (paper Figure 1b). Returned work is charged to the stats sink.
-func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+// Claims implements hyper.Interceptor: the host claims an exit from a nested
+// VM when the corresponding virtual hardware is enabled for its vCPU — the
+// virtual timer or virtual IPI control, or a doorbell of a
+// virtual-passthrough device.
+func (d *DVH) Claims(v *hyper.VCPU, op hyper.Op) bool {
+	switch op.Kind {
+	case hyper.OpTimerProgram:
+		return d.Features.Has(FeatureVirtualTimers) &&
+			v.VMCS.ControlSet(vmx.FieldProcBasedControls3, vmx.Proc3VirtualTimerEnable)
+	case hyper.OpSendIPI:
+		return d.Features.Has(FeatureVirtualIPIs) &&
+			v.VMCS.ControlSet(vmx.FieldProcBasedControls3, vmx.Proc3VirtualIPIEnable)
+	case hyper.OpDevNotify:
+		dev := v.VM.FindDeviceByDoorbell(op.Addr)
+		return dev != nil && dev.VP
+	default:
+		// DVH interposes only on the three kinds above; everything else is
+		// forwarded to the owning guest hypervisor unchanged.
+		return false
+	}
+}
+
+// Handle implements hyper.Interceptor: the host handles a claimed exit
+// directly (paper Figure 1b). Returned work is charged to the stats sink.
+func (d *DVH) Handle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (sim.Cycles, error) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	switch op.Kind {
 	case hyper.OpTimerProgram:
-		if !d.Features.Has(FeatureVirtualTimers) ||
-			!v.VMCS.ControlSet(vmx.FieldProcBasedControls3, vmx.Proc3VirtualTimerEnable) {
-			return false, 0, nil
-		}
 		// Combine the TSC offsets the guest hypervisors programmed at each
 		// level, then arm the host hrtimer backing the virtual timer.
 		levels := v.VM.Level - 1
@@ -249,20 +266,16 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 		work := c.DVHTimerCheckWork + sim.Cycles(levels)*c.TimerOffsetWork + c.TimerProgramWork
 		stats.ChargeLevel(0, work)
 		stats.Inc(trace.CounterDVHVTimerPrograms, 1)
-		return true, work, nil
+		return work, nil
 
 	case hyper.OpSendIPI:
-		if !d.Features.Has(FeatureVirtualIPIs) ||
-			!v.VMCS.ControlSet(vmx.FieldProcBasedControls3, vmx.Proc3VirtualIPIEnable) {
-			return false, 0, nil
-		}
 		table, ok := d.vcimts[v.VM]
 		if !ok {
-			return false, 0, fmt.Errorf("dvh: virtual IPI enabled for %s but no VCIMT published", v.VM.Name)
+			return 0, fmt.Errorf("dvh: virtual IPI enabled for %s but no VCIMT published", v.VM.Name)
 		}
 		dest, err := table.Lookup(int(op.ICR.Dest()))
 		if err != nil {
-			return false, 0, err
+			return 0, err
 		}
 		dest.PID.Post(op.ICR.Vector())
 		dest.PID.Sync(dest.LAPIC)
@@ -270,20 +283,17 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 			sim.Cycles(v.VM.Level-2)*c.VCIMTPerLevelWork
 		wake, err := w.WakeIfIdle(dest)
 		if err != nil {
-			return false, 0, err
+			return 0, err
 		}
 		stats.ChargeLevel(0, work)
 		stats.Inc(trace.CounterDVHVIPISends, 1)
-		return true, work + wake, nil
+		return work + wake, nil
 
 	case hyper.OpDevNotify:
 		dev := v.VM.FindDeviceByDoorbell(op.Addr)
-		if dev == nil || !dev.VP {
-			return false, 0, nil
-		}
 		vp, ok := d.vp[dev]
 		if !ok {
-			return false, 0, fmt.Errorf("dvh: device %s marked VP but has no VP state", dev.Name)
+			return 0, fmt.Errorf("dvh: doorbell %#x on %s has no VP state", uint64(op.Addr), v.VM.Name)
 		}
 		// The host must confirm the fault is a doorbell access, not a
 		// missing mapping: a software walk of the nested VM's (merged) EPT —
@@ -297,16 +307,14 @@ func (d *DVH) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.C
 		stats.ChargeLevel(0, work)
 		backend, err := w.HostBackendKick(v, dev)
 		if err != nil {
-			return false, 0, err
+			return 0, err
 		}
 		vp.Kicks++
 		stats.Inc(trace.CounterDVHVPKicks, 1)
-		return true, work + backend, nil
+		return work + backend, nil
 
 	default:
-		// DVH interposes only on the three kinds above; everything else is
-		// forwarded to the owning guest hypervisor unchanged.
-		return false, 0, nil
+		return 0, fmt.Errorf("dvh: Handle on %v, which DVH never claims", op.Kind)
 	}
 }
 
@@ -332,3 +340,8 @@ func (d *DVH) combinedTSCOffset(v *hyper.VCPU) int64 {
 	}
 	return off
 }
+
+var (
+	_ hyper.Interceptor         = (*DVH)(nil)
+	_ hyper.TimerDeliveryPolicy = (*DVH)(nil)
+)

@@ -167,8 +167,8 @@ func TestEnlightenmentRequiresMatchingPersonality(t *testing.T) {
 // to stacks with real interceptors registered — DVH, and the Xen and Hyper-V
 // enlightenments — so the chain consultation itself is covered, not only an
 // empty chain. Together with the hyper package's alloc tests, this is what
-// keeps hyper.Op passed by value: a pointer through TryHandle would escape
-// on every Execute.
+// keeps hyper.Op passed by value: a pointer through Claims or Handle would
+// escape on every Execute.
 func TestRegisteredChainAllocFree(t *testing.T) {
 	specs := []Spec{
 		{Depth: 3, IO: IODVH},
@@ -204,6 +204,92 @@ func TestRegisteredChainAllocFree(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%v: Execute(%v) allocates %.1f times per op with the chain registered, want 0", spec, op.Kind, allocs)
+			}
+		}
+	}
+}
+
+// TestClaimsLeaveStateUnchanged holds the interceptor chain's one rule at
+// runtime for the registered backends: deciding changes nothing. Claims has
+// no *World parameter, but an implementation could still reach engine state
+// through a field (core.DVH keeps its World), so for every chain member and
+// every op kind the stacks exercise, the test snapshots what an exit may
+// touch — the machine stats, the source and destination LAPICs' IRR, ISR and
+// TSC deadline, the destination's posted-interrupt descriptor, and the
+// engine's pending events — and requires Claims to leave all of it as found.
+// It also requires DVH.Handle to fail an op kind DVH never claims: Handle
+// cannot decline, so an unclaimed op is an error, not a silent no-op.
+func TestClaimsLeaveStateUnchanged(t *testing.T) {
+	specs := []Spec{
+		{Depth: 2, IO: IODVH},
+		{Depth: 3, IO: IODVH},
+		{Depth: 2, Guest: GuestXen, Enlightened: true},
+		{Depth: 2, Guest: GuestHyperV, Enlightened: true},
+	}
+	type snapshot struct {
+		stats                    trace.Stats
+		srcIRR, srcISR           [4]uint64
+		dstIRR, dstISR           [4]uint64
+		srcDeadline, dstDeadline uint64
+		pid                      apic.PIDescriptor
+		pending                  int
+	}
+	for _, spec := range specs {
+		st, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := st.Target.VCPUs[0]
+		dst := st.Target.VCPUs[(v.ID+1)%len(st.Target.VCPUs)]
+		// Arm the source's timer and leave an IPI posted at the destination,
+		// so the snapshot holds non-zero state for a stray write to disturb.
+		for _, op := range []hyper.Op{
+			hyper.ProgramTimer(1 << 30),
+			hyper.SendIPI(uint32(dst.ID), apic.VectorReschedule),
+		} {
+			if _, err := st.World.Execute(v, op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		take := func() snapshot {
+			return snapshot{
+				stats:  *st.World.Host.Machine.Stats,
+				srcIRR: v.LAPIC.IRRSnapshot(), srcISR: v.LAPIC.ISRSnapshot(),
+				dstIRR: dst.LAPIC.IRRSnapshot(), dstISR: dst.LAPIC.ISRSnapshot(),
+				srcDeadline: v.LAPIC.TSCDeadline(), dstDeadline: dst.LAPIC.TSCDeadline(),
+				pid:     *dst.PID,
+				pending: st.World.Host.Machine.Engine.Pending(),
+			}
+		}
+		ops := []hyper.Op{
+			hyper.Hypercall(),
+			hyper.DevNotify(st.Net.Doorbell),
+			hyper.SendIPI(uint32(dst.ID), apic.VectorReschedule),
+			hyper.ProgramTimer(1 << 31),
+			hyper.EOI(),
+			hyper.Halt(),
+		}
+		for _, it := range st.World.Interceptors() {
+			name, _ := it.InterceptorInfo()
+			claimed := 0
+			for _, op := range ops {
+				before := take()
+				if it.Claims(v, op) {
+					claimed++
+				}
+				if after := take(); after != before {
+					t.Errorf("%v: %s.Claims(%v) changed engine state", spec, name, op.Kind)
+				}
+			}
+			if claimed == 0 {
+				t.Errorf("%v: %s claimed none of the ops; the test exercises no claiming path", spec, name)
+			}
+		}
+		if st.DVH != nil {
+			for _, op := range []hyper.Op{hyper.Hypercall(), hyper.EOI(), hyper.Halt()} {
+				if _, err := st.DVH.Handle(st.World, v, op); err == nil {
+					t.Errorf("%v: DVH.Handle(%v) succeeded on an op kind DVH never claims", spec, op.Kind)
+				}
 			}
 		}
 	}

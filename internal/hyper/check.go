@@ -10,9 +10,10 @@ import (
 // operation without the engine knowing what is being checked. All methods are
 // called on the single simulation goroutine.
 //
-// Op is passed by value for the same reason Interceptor.TryHandle takes it by
-// value: a pointer through the interface boundary would force every Execute
-// call's op to escape, and the checked-off hot path must stay allocation-free.
+// Op is passed by value for the same reason Interceptor.Claims and Handle
+// take it by value: a pointer through the interface boundary would force
+// every Execute call's op to escape, and the checked-off hot path must stay
+// allocation-free.
 type InvariantChecker interface {
 	// Begin opens a frame when a boundary is entered; the returned token is
 	// handed back to the matching End.

@@ -160,23 +160,29 @@ func (w *World) observeStages(tx *ExitContext) {
 // (packages hyperv, xen) are others — a world can stack several without the
 // dispatch code knowing any of them.
 //
-// TryHandle performs the emulation effects, charges its own work to the
-// stats sink, and returns that work so the intercept stage can wrap it in
-// the fixed exit/dispatch/entry costs. Op is passed by value: TryHandle
-// never mutates it, and a pointer would force every Execute call's op to
-// escape to the heap through the interface boundary. The steady-state exit
-// path is kept allocation-free; the AllocsPerRun tests in this package and
-// in package experiment (with DVH and the enlightenments registered) hold
-// that contract, and nvlint's interceptor rule holds claim-before-mutate.
+// Deciding and acting are separate methods, so the chain's one rule — an
+// interceptor that declines an op has changed nothing — holds by signature:
+// Claims has no *World to mutate through, and Handle cannot decline. Handle
+// performs the emulation effects, charges its own work to the stats sink,
+// and returns that work so the intercept stage can wrap it in the fixed
+// exit/dispatch/entry costs. Op is passed by value: neither method mutates
+// it, and a pointer would force every Execute call's op to escape to the
+// heap through the interface boundary. The steady-state exit path is kept
+// allocation-free; the AllocsPerRun tests in this package and in package
+// experiment (with DVH and the enlightenments registered) hold that
+// contract.
 type Interceptor interface {
 	// InterceptorInfo returns the interceptor's stable name and its chain
 	// priority. Lower priorities are consulted first; ties order by name.
 	// Only RegisterInterceptor consults it, to sort the chain and reject
 	// duplicate names; the exit path never calls it.
 	InterceptorInfo() (name string, priority int)
-	// TryHandle inspects an exit from a nested VM (level >= 2) and reports
-	// whether it handled it directly, with the work charged.
-	TryHandle(w *World, v *VCPU, op Op) (handled bool, work sim.Cycles, err error)
+	// Claims reports whether the interceptor handles this exit from a
+	// nested VM (level >= 2) directly. It only decides.
+	Claims(v *VCPU, op Op) bool
+	// Handle handles a claimed exit and returns the work charged. An error
+	// aborts the transaction; there is no declining once claimed.
+	Handle(w *World, v *VCPU, op Op) (sim.Cycles, error)
 }
 
 // RegisterInterceptor adds a direct-handling backend to the world's chain.
@@ -211,8 +217,8 @@ func (w *World) Interceptors() []Interceptor { return w.interceptors }
 
 // stageIntercept consults the interceptor chain for exits from nested VMs.
 // The first interceptor to claim the exit concludes the transaction at the
-// host (paper Figure 1b); each interceptor that inspects but declines bills
-// its check work to the host before the exit moves on — the bookkeeping the
+// host (paper Figure 1b); each interceptor whose Claims declines bills its
+// check work to the host before the exit moves on — the bookkeeping the
 // paper's Table 3 shows as DVH's slightly costlier forwarded hypercall.
 func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
 	if tx.Level < 2 || len(w.interceptors) == 0 {
@@ -221,19 +227,20 @@ func (w *World) stageIntercept(tx *ExitContext) (bool, error) {
 	c := &w.Costs
 	stats := w.Host.Machine.Stats
 	for _, it := range w.interceptors {
-		handled, work, err := it.TryHandle(w, tx.V, tx.Op)
+		if !it.Claims(tx.V, tx.Op) {
+			tx.add(trace.StageIntercept, c.DVHCheckWork)
+			stats.ChargeLevel(0, c.DVHCheckWork)
+			continue
+		}
+		work, err := it.Handle(w, tx.V, tx.Op)
 		if err != nil {
 			return false, err
 		}
-		if handled {
-			stats.RecordHandledExit(tx.Reason, 0)
-			w.Tracer.Record(tx.Reason, tx.Level, 0)
-			stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
-			tx.add(trace.StageIntercept, c.HostDispatch+work+c.HwEntry)
-			return true, nil
-		}
-		tx.add(trace.StageIntercept, c.DVHCheckWork)
-		stats.ChargeLevel(0, c.DVHCheckWork)
+		stats.RecordHandledExit(tx.Reason, 0)
+		w.Tracer.Record(tx.Reason, tx.Level, 0)
+		stats.ChargeLevel(0, c.HostDispatch+c.HwEntry)
+		tx.add(trace.StageIntercept, c.HostDispatch+work+c.HwEntry)
+		return true, nil
 	}
 	return false, nil
 }

@@ -14,23 +14,25 @@ type stubInterceptor struct {
 	priority int
 	handle   bool
 	work     sim.Cycles
-	// err, when set, aborts every exit the stub is consulted on.
+	// err, when set, makes the stub claim every exit it is consulted on
+	// and then fail it in Handle, aborting the transaction.
 	err error
 	log *[]string
 }
 
 func (s *stubInterceptor) InterceptorInfo() (string, int) { return s.name, s.priority }
 
-func (s *stubInterceptor) TryHandle(w *World, v *VCPU, op Op) (bool, sim.Cycles, error) {
+func (s *stubInterceptor) Claims(v *VCPU, op Op) bool {
 	*s.log = append(*s.log, s.name)
+	return s.handle || s.err != nil
+}
+
+func (s *stubInterceptor) Handle(w *World, v *VCPU, op Op) (sim.Cycles, error) {
 	if s.err != nil {
-		return false, 0, s.err
-	}
-	if !s.handle {
-		return false, 0, nil
+		return 0, s.err
 	}
 	w.Host.Machine.Stats.ChargeLevel(0, s.work)
-	return true, s.work, nil
+	return s.work, nil
 }
 
 // mustRegister registers an interceptor, failing the test on rejection.

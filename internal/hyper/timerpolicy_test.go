@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -20,8 +21,10 @@ type stubTimerPolicy struct {
 
 func (s *stubTimerPolicy) InterceptorInfo() (string, int) { return s.name, s.priority }
 
-func (s *stubTimerPolicy) TryHandle(w *World, v *VCPU, op Op) (bool, sim.Cycles, error) {
-	return false, 0, nil
+func (s *stubTimerPolicy) Claims(v *VCPU, op Op) bool { return false }
+
+func (s *stubTimerPolicy) Handle(w *World, v *VCPU, op Op) (sim.Cycles, error) {
+	return 0, errors.New("stubTimerPolicy: Handle on an op it never claims")
 }
 
 func (s *stubTimerPolicy) DirectTimerDelivery(v *VCPU) bool {

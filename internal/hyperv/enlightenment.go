@@ -35,23 +35,26 @@ func (Enlightenment) InterceptorInfo() (string, int) {
 	return "hyperv-enlightenment", InterceptPriority
 }
 
-// TryHandle implements hyper.Interceptor: flush-class hypercalls from a
-// nested VM running under a Hyper-V guest hypervisor are executed at L0.
-// Returned work is charged to the stats sink, keeping the settle point's
-// cycle-conservation invariant.
-func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+// Claims implements hyper.Interceptor: the host claims flush-class
+// hypercalls from a nested VM running under a Hyper-V guest hypervisor, the
+// only VMs that opted in to the enlightenment.
+func (Enlightenment) Claims(v *hyper.VCPU, op hyper.Op) bool {
 	if op.Kind != hyper.OpHypercall {
-		return false, 0, nil
+		return false
 	}
-	if _, ok := v.VM.Owner.Personality.(HyperV); !ok {
-		// The VM's hypervisor is not Hyper-V: no enlightenment contract.
-		return false, 0, nil
-	}
+	_, ok := v.VM.Owner.Personality.(HyperV)
+	return ok
+}
+
+// Handle implements hyper.Interceptor: a claimed hypercall is executed at
+// L0. Returned work is charged to the stats sink, keeping the settle point's
+// cycle-conservation invariant.
+func (Enlightenment) Handle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (sim.Cycles, error) {
 	stats := w.Host.Machine.Stats
 	work := w.Costs.EnlightenedHypercallWork
 	stats.ChargeLevel(0, work)
 	stats.Inc(trace.CounterHyperVEnlightenedHypercalls, 1)
-	return true, work, nil
+	return work, nil
 }
 
 var _ hyper.Interceptor = Enlightenment{}

@@ -16,9 +16,9 @@ type callGraph struct {
 	// edges maps a caller to its deterministic, deduplicated callee list.
 	edges map[*types.Func][]*types.Func
 	// cutEdges holds the edges removed by //nvlint:ignore hotalloc call-site
-	// directives. The hotalloc walk honors the cuts; the cache-soundness and
-	// interceptor walks must not (an allocation waiver is not a semantic
-	// waiver), so they traverse edges ∪ cutEdges.
+	// directives. The hotalloc walk honors the cuts; the cache-soundness
+	// walk must not (an allocation waiver is not a semantic waiver), so it
+	// traverses edges ∪ cutEdges.
 	cutEdges map[*types.Func][]*types.Func
 	// cuts records which directive cut edges in which caller, so a cut is
 	// counted as "used" only when the caller actually lands in the hot set.
@@ -201,9 +201,9 @@ func (g *callGraph) hotSet(roots []*types.Func) map[*types.Func][]string {
 
 // reach walks the graph from the roots over edges ∪ cutEdges — no cold
 // pruning, no hotalloc cut honoring — and returns every reachable module
-// function with its shortest call chain from a root. The semantic rules
-// (cachegen, interceptor) use this walk: a function excused from the
-// allocation contract still participates in plan compilation or interception.
+// function with its shortest call chain from a root. The semantic rule
+// (cachegen) uses this walk: a function excused from the allocation contract
+// still participates in plan compilation.
 func (g *callGraph) reach(roots []*types.Func) map[*types.Func][]string {
 	parent := make(map[*types.Func]*types.Func)
 	visited := make(map[*types.Func]bool)

@@ -13,7 +13,8 @@
 //	             simulator output (sorted-collect idiom or //nvlint:ordered
 //	             allowlists a range)
 //	hotalloc     no allocating constructs in functions reachable from the
-//	             hot-path roots (World.Execute, Interceptor.TryHandle)
+//	             hot-path roots (World.Execute, Interceptor.Claims,
+//	             Interceptor.Handle)
 //	exhaustive   switches over module-declared enum types cover every
 //	             constant or carry an explicit default
 //	nopanic      panic() is forbidden in non-test engine packages
@@ -24,8 +25,6 @@
 //	             generation counter (or explicitly allowlisted as a
 //	             non-input), generation setters really bump their counter,
 //	             and guarded fields are written only by their setter
-//	interceptor  Interceptor implementations never mutate engine state on a
-//	             path that can still decline the op (claim before mutate)
 //	directive    //nvlint comments that no longer suppress anything are
 //	             themselves flagged (reported via -unused-directives)
 package lint
@@ -45,7 +44,6 @@ const (
 	RuleExhaustive  = "exhaustive"
 	RuleNoPanic     = "nopanic"
 	RuleCacheGen    = "cachegen"
-	RuleInterceptor = "interceptor"
 	RuleDirective   = "directive"
 )
 
@@ -71,8 +69,6 @@ type Config struct {
 	HotRoots []string
 	// CacheGen, when set, enables the plan-cache generation-soundness rule.
 	CacheGen *CacheGenConfig
-	// Interceptor, when set, enables the interceptor-contract rule.
-	Interceptor *InterceptorConfig
 }
 
 // CacheGenConfig configures the cachegen rule: the plan replay cache is
@@ -102,16 +98,6 @@ type CacheGenConfig struct {
 	// functions allowed to assign it; a write anywhere else would bypass the
 	// generation bump and is flagged.
 	SetterOnly map[string][]string
-}
-
-// InterceptorConfig configures the interceptor rule around a direct-handling
-// backend interface whose claim method is TryHandle: its first bool result is
-// the handled flag and its last error result the failure channel.
-// Implementations must not mutate engine state on any path that can still
-// decline (return handled=false with a nil error).
-type InterceptorConfig struct {
-	// Iface is the interceptor interface ("pkg/path.Name").
-	Iface string
 }
 
 // Finding is one rule violation.
@@ -152,8 +138,8 @@ type Result struct {
 }
 
 // ModuleConfig returns the configuration nvlint uses for this repository:
-// the DVH engine's hot roots, the plan-cache and interceptor contracts, and
-// the parallel runner as the only package allowed to start goroutines.
+// the DVH engine's hot roots, the plan-cache contract, and the parallel
+// runner as the only package allowed to start goroutines.
 func ModuleConfig(dir string) (Config, error) {
 	cfg := Config{Dir: dir}
 	mp, err := modulePath(dir)
@@ -165,7 +151,8 @@ func ModuleConfig(dir string) (Config, error) {
 	cfg.GoStmtAllowed = []string{mp + "/internal/parallel"}
 	cfg.HotRoots = []string{
 		mp + "/internal/hyper.(*World).Execute",
-		mp + "/internal/hyper.Interceptor.TryHandle",
+		mp + "/internal/hyper.Interceptor.Claims",
+		mp + "/internal/hyper.Interceptor.Handle",
 		// The per-stage observability sink runs at every outermost settle,
 		// inside Execute's allocation-freedom contract; rooting the observe
 		// methods directly keeps them covered even if the settle wiring moves.
@@ -231,11 +218,6 @@ func ModuleConfig(dir string) (Config, error) {
 			},
 		},
 	}
-	// interceptor: the direct-handling chain's claim-before-mutate contract
-	// (internal/hyper/pipeline.go).
-	cfg.Interceptor = &InterceptorConfig{
-		Iface: mp + "/internal/hyper.Interceptor",
-	}
 	return cfg, nil
 }
 
@@ -285,14 +267,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.CacheGen != nil {
 		rules = append(rules, RuleCacheGen)
 		fs, err := checkCacheGen(prog, &cfg, g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	if cfg.Interceptor != nil {
-		rules = append(rules, RuleInterceptor)
-		fs, err := checkInterceptor(prog, &cfg, g)
 		if err != nil {
 			return nil, err
 		}

@@ -159,30 +159,21 @@ func cacheGenTestConfig(c *Config) {
 
 func TestGoldenCacheGen(t *testing.T) { runGolden(t, "cachegen", cacheGenTestConfig) }
 
-func interceptorTestConfig(c *Config) {
-	c.Interceptor = &InterceptorConfig{Iface: "lintcheck/interceptor.Interceptor"}
-}
-
-func TestGoldenInterceptor(t *testing.T) { runGolden(t, "interceptor", interceptorTestConfig) }
-
-// TestGoldenRequiresRule proves every // want in the v2 fixtures comes from
-// its rule: with the rule left unconfigured, the same package lints clean, so
-// disabling a rule would fail the golden test above by leaving every
-// expectation unmatched.
+// TestGoldenRequiresRule proves every // want in the cachegen fixture comes
+// from its rule: with the rule left unconfigured, the same package lints
+// clean, so disabling the rule would fail the golden test above by leaving
+// every expectation unmatched.
 func TestGoldenRequiresRule(t *testing.T) {
-	for _, name := range []string{"cachegen", "interceptor"} {
-		cfg := Config{
-			Dir:            filepath.Join("testdata", "src", name),
-			ModulePath:     "lintcheck/" + name,
-			EnginePrefixes: []string{"lintcheck/" + name + "/enginepkgs"},
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range res.Findings {
-			t.Errorf("%s with its rule disabled still reports: %s", name, f)
-		}
+	res, err := Run(Config{
+		Dir:            filepath.Join("testdata", "src", "cachegen"),
+		ModulePath:     "lintcheck/cachegen",
+		EnginePrefixes: []string{"lintcheck/cachegen/enginepkgs"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range res.Findings {
+		t.Errorf("cachegen with its rule disabled still reports: %s", f)
 	}
 }
 
@@ -288,7 +279,7 @@ func TestEncodeJSON(t *testing.T) {
 
 // TestModuleLintsClean is the gate the repository itself must pass: nvlint
 // over the whole module reports nothing — no findings and no stale
-// directives — with all six rules enabled.
+// directives — with all five rules enabled.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the full module from source")
@@ -312,7 +303,7 @@ func TestModuleLintsClean(t *testing.T) {
 	}
 	wantRules := []string{
 		RuleCacheGen, RuleDeterminism, RuleExhaustive, RuleHotAlloc,
-		RuleInterceptor, RuleNoPanic,
+		RuleNoPanic,
 	}
 	if !reflect.DeepEqual(res.RulesRun, wantRules) {
 		t.Errorf("rules run = %v, want %v", res.RulesRun, wantRules)

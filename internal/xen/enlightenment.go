@@ -29,23 +29,26 @@ func (Enlightenment) InterceptorInfo() (string, int) {
 	return "xen-evtchn", InterceptPriority
 }
 
-// TryHandle implements hyper.Interceptor: event-channel IPIs from a nested
-// VM running under a Xen guest hypervisor are delivered at L0. The state
-// effects mirror the host's own IPI emulation — post to the destination's
-// posted-interrupt descriptor, sync, wake — and the returned work is charged
-// to the stats sink, keeping the settle point's cycle-conservation
-// invariant.
-func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool, sim.Cycles, error) {
+// Claims implements hyper.Interceptor: the host claims IPIs from a nested
+// VM running under a Xen guest hypervisor, whose event-channel ABI it
+// implements in-kernel.
+func (Enlightenment) Claims(v *hyper.VCPU, op hyper.Op) bool {
 	if op.Kind != hyper.OpSendIPI {
-		return false, 0, nil
+		return false
 	}
-	if _, ok := v.VM.Owner.Personality.(Xen); !ok {
-		// The VM's hypervisor is not Xen: no event-channel ABI to offload.
-		return false, 0, nil
-	}
+	_, ok := v.VM.Owner.Personality.(Xen)
+	return ok
+}
+
+// Handle implements hyper.Interceptor: a claimed event-channel IPI is
+// delivered at L0. The state effects mirror the host's own IPI emulation —
+// post to the destination's posted-interrupt descriptor, sync, wake — and
+// the returned work is charged to the stats sink, keeping the settle point's
+// cycle-conservation invariant.
+func (Enlightenment) Handle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (sim.Cycles, error) {
 	id := int(op.ICR.Dest())
 	if id < 0 || id >= len(v.VM.VCPUs) {
-		return false, 0, fmt.Errorf("xen: evtchn IPI from %s to missing vCPU %d", v.Path(), id)
+		return 0, fmt.Errorf("xen: evtchn IPI from %s to missing vCPU %d", v.Path(), id)
 	}
 	dest := v.VM.VCPUs[id]
 	dest.PID.Post(op.ICR.Vector())
@@ -54,11 +57,11 @@ func (Enlightenment) TryHandle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (bool
 	work := w.Costs.EvtchnNotifyWork
 	wake, err := w.WakeIfIdle(dest)
 	if err != nil {
-		return false, 0, err
+		return 0, err
 	}
 	stats.ChargeLevel(0, work)
 	stats.Inc(trace.CounterXenEvtchnIPIs, 1)
-	return true, work + wake, nil
+	return work + wake, nil
 }
 
 var _ hyper.Interceptor = Enlightenment{}

@@ -280,3 +280,40 @@ func TestDeliverWhileInServiceCoalesces(t *testing.T) {
 		t.Fatal("vector not deliverable after EOI")
 	}
 }
+
+// highestByScan is the bit-by-bit reference for vecSet.highest.
+func highestByScan(s *vecSet) (Vector, bool) {
+	for w := 3; w >= 0; w-- {
+		for b := 63; b >= 0; b-- {
+			if s[w]&(1<<uint(b)) != 0 {
+				return Vector(w*64 + b), true
+			}
+		}
+	}
+	return 0, false
+}
+
+func TestVecSetHighestMatchesScan(t *testing.T) {
+	f := func(words [4]uint64, sparse uint8) bool {
+		// Thin the words out so high words are often empty and the scan
+		// crosses word boundaries.
+		s := vecSet(words)
+		for w := range s {
+			if sparse&(1<<w) != 0 {
+				s[w] = 0
+			} else if sparse&(0x10<<w) != 0 {
+				s[w] &= -s[w] // keep only the lowest set bit
+			}
+		}
+		gv, gok := s.highest()
+		wv, wok := highestByScan(&s)
+		return gv == wv && gok == wok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	var empty vecSet
+	if _, ok := empty.highest(); ok {
+		t.Fatal("highest of the empty set reported a vector")
+	}
+}

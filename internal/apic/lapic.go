@@ -5,7 +5,10 @@
 // APICv delivers interrupts to a running vCPU without a VM exit.
 package apic
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Vector is an interrupt vector number (0-255; usable vectors start at 32).
 type Vector uint8
@@ -50,13 +53,8 @@ func (s *vecSet) test(v Vector) bool { return s[v>>6]&(1<<(v&63)) != 0 }
 // highest returns the highest set vector and true, or 0 and false when empty.
 func (s *vecSet) highest() (Vector, bool) {
 	for w := 3; w >= 0; w-- {
-		if s[w] == 0 {
-			continue
-		}
-		for b := 63; b >= 0; b-- {
-			if s[w]&(1<<uint(b)) != 0 {
-				return Vector(w*64 + b), true
-			}
+		if s[w] != 0 {
+			return Vector(w*64 + bits.Len64(s[w]) - 1), true
 		}
 	}
 	return 0, false

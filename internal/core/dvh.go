@@ -261,7 +261,6 @@ func (d *DVH) Handle(w *hyper.World, v *hyper.VCPU, op hyper.Op) (sim.Cycles, er
 		levels := v.VM.Level - 1
 		offset := d.combinedTSCOffset(v)
 		deadline := uint64(int64(op.Deadline) + offset)
-		v.LAPIC.SetTSCDeadline(deadline)
 		w.ArmVirtualTimer(v, deadline)
 		work := c.DVHTimerCheckWork + sim.Cycles(levels)*c.TimerOffsetWork + c.TimerProgramWork
 		stats.ChargeLevel(0, work)

@@ -131,6 +131,33 @@ func TestVirtualTimerFiresAndWakes(t *testing.T) {
 	}
 }
 
+func TestVirtualTimerRearmKeepsLastDeadline(t *testing.T) {
+	// The guest re-arms to a later deadline before the first one expires.
+	// The timer fires at the last deadline written, never at an overwritten
+	// one (SDM: IA32_TSC_DEADLINE), so nothing is pending at now+8000 and the
+	// later deadline is still armed.
+	_, w, vms := buildStack(t, 2, FeaturesAll)
+	v := vms[1].VCPUs[0]
+	eng := w.Host.Machine.Engine
+	now := uint64(eng.Now())
+	exec(t, w, v, hyper.ProgramTimer(now+4000))
+	exec(t, w, v, hyper.ProgramTimer(now+1_000_000))
+	eng.RunUntil(sim.Time(now + 8000))
+	if v.LAPIC.Pending(apic.VectorTimer) {
+		t.Fatal("overwritten deadline fired: timer vector pending at now+8000")
+	}
+	if got := v.LAPIC.TSCDeadline(); got != now+1_000_000 {
+		t.Fatalf("deadline = %d after the stale expiry point, want %d", got, now+1_000_000)
+	}
+	if eng.Armed() != 1 {
+		t.Fatalf("%d timers armed, want the one re-armed timer", eng.Armed())
+	}
+	eng.RunUntil(sim.Time(now + 1_000_000))
+	if !v.LAPIC.Pending(apic.VectorTimer) || v.LAPIC.TSCDeadline() != 0 {
+		t.Fatal("re-armed timer did not fire at its deadline")
+	}
+}
+
 func TestVirtualIPITable3(t *testing.T) {
 	// Paper Table 3: SendIPI nested+DVH = 5,116; L3+DVH = 5,228.
 	_, w2, vms2 := buildStack(t, 2, FeaturesAll)

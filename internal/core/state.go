@@ -62,8 +62,9 @@ func (d *DVH) SaveVMState(vm *hyper.VM) ([]byte, error) {
 }
 
 // RestoreVMState applies saved virtual-hardware state to a destination VM:
-// timers are re-armed on the destination host's virtual timers, control bits
-// reinstated, and the VCIMT rebuilt by the destination's guest hypervisor.
+// timers are re-armed (or disarmed) on the destination host's virtual
+// timers, control bits reinstated, and the VCIMT rebuilt by the
+// destination's guest hypervisor.
 func (d *DVH) RestoreVMState(vm *hyper.VM, blob []byte) error {
 	var st VMState
 	if err := json.Unmarshal(blob, &st); err != nil {
@@ -82,10 +83,10 @@ func (d *DVH) RestoreVMState(vm *hyper.VM, blob []byte) error {
 		} else {
 			v.VMCS.ClearControl(vmx.FieldProcBasedControls, vmx.ProcHLTExiting)
 		}
-		if vs.TimerDeadline != 0 {
-			v.LAPIC.SetTSCDeadline(vs.TimerDeadline)
-			d.World.ArmVirtualTimer(v, vs.TimerDeadline)
-		}
+		// Written even when zero: restoring a vCPU with no timer pending
+		// disarms whatever the destination had armed, so the engine holds
+		// exactly the restored LAPIC deadlines.
+		d.World.ArmVirtualTimer(v, vs.TimerDeadline)
 	}
 	if st.HasVCIMT {
 		if _, ok := d.vcimts[vm]; !ok {

@@ -60,6 +60,39 @@ func TestSaveRestoreVMState(t *testing.T) {
 	}
 }
 
+func TestRestoreWithoutTimerDisarmsDestination(t *testing.T) {
+	// The source has no timer pending; the destination has one armed. The
+	// restore writes the saved zero deadline, so the destination's engine
+	// holds exactly the restored deadlines and nothing fires.
+	dSrc, _, src := buildStack(t, 2, FeaturesAll)
+	dDst, wDst, dst := buildStack(t, 2, FeaturesAll)
+	dv := dst[1].VCPUs[0]
+	if _, err := wDst.Execute(dv, hyper.ProgramTimer(500_000)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := dSrc.SaveVMState(src[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dDst.RestoreVMState(dst[1], blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := dv.LAPIC.TSCDeadline(); got != 0 {
+		t.Fatalf("restored deadline = %d, want 0 (the source had no timer)", got)
+	}
+	eng := wDst.Host.Machine.Engine
+	if eng.Armed() != 0 {
+		t.Fatalf("%d timers armed after restoring a state with none", eng.Armed())
+	}
+	eng.RunUntil(1_000_000)
+	if dv.LAPIC.Pending(apic.VectorTimer) {
+		t.Fatal("the destination's pre-restore timer fired after the restore")
+	}
+	if n := wDst.Host.Machine.Stats.Count(trace.CounterDVHVTimerDirectDeliveries); n != 0 {
+		t.Fatalf("%d timer deliveries after restoring a state with no timer", n)
+	}
+}
+
 func TestSaveVMStateValidation(t *testing.T) {
 	d, _, vms := buildStack(t, 2, FeaturesAll)
 	if _, err := d.SaveVMState(vms[0]); err == nil {

@@ -216,7 +216,7 @@ func TestRegisteredChainAllocFree(t *testing.T) {
 // every op kind the stacks exercise, the test snapshots what an exit may
 // touch — the machine stats, the source and destination LAPICs' IRR, ISR and
 // TSC deadline, the destination's posted-interrupt descriptor, and the
-// engine's pending events — and requires Claims to leave all of it as found.
+// number of timers armed on the engine — and requires Claims to leave all of it as found.
 // It also requires DVH.Handle to fail an op kind DVH never claims: Handle
 // cannot decline, so an unclaimed op is an error, not a silent no-op.
 func TestClaimsLeaveStateUnchanged(t *testing.T) {
@@ -232,7 +232,7 @@ func TestClaimsLeaveStateUnchanged(t *testing.T) {
 		dstIRR, dstISR           [4]uint64
 		srcDeadline, dstDeadline uint64
 		pid                      apic.PIDescriptor
-		pending                  int
+		armed                    int
 	}
 	for _, spec := range specs {
 		st, err := Build(spec)
@@ -257,8 +257,8 @@ func TestClaimsLeaveStateUnchanged(t *testing.T) {
 				srcIRR: v.LAPIC.IRRSnapshot(), srcISR: v.LAPIC.ISRSnapshot(),
 				dstIRR: dst.LAPIC.IRRSnapshot(), dstISR: dst.LAPIC.ISRSnapshot(),
 				srcDeadline: v.LAPIC.TSCDeadline(), dstDeadline: dst.LAPIC.TSCDeadline(),
-				pid:     *dst.PID,
-				pending: st.World.Host.Machine.Engine.Pending(),
+				pid:   *dst.PID,
+				armed: st.World.Host.Machine.Engine.Armed(),
 			}
 		}
 		ops := []hyper.Op{

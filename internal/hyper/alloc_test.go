@@ -24,9 +24,9 @@ func nestedOpStack(t testing.TB, depth int) (*World, *VCPU, *AssignedDevice) {
 
 // steadyOps are the exit kinds whose handling must be allocation-free in
 // steady state: the forwarded-exit recursion (hypercall), the virtio kick
-// cascade (doorbell), IPI send+wake, and EOI. Timer programming and HLT are
-// excluded by design — they schedule engine events and run the scheduler,
-// which legitimately grow data structures.
+// cascade (doorbell), IPI send+wake, EOI, and timer programming (re-arming
+// the vCPU's engine timer in place). HLT is excluded by design — it runs the
+// scheduler, which legitimately grows data structures.
 func steadyOps(w *World, v *VCPU, net *AssignedDevice) []Op {
 	dest := uint32((v.ID + 1) % len(v.VM.VCPUs))
 	return []Op{
@@ -34,6 +34,7 @@ func steadyOps(w *World, v *VCPU, net *AssignedDevice) []Op {
 		DevNotify(net.Doorbell),
 		SendIPI(dest, apic.VectorReschedule),
 		EOI(),
+		ProgramTimer(uint64(w.Host.Machine.Engine.Now()) + 1_000_000),
 	}
 }
 

@@ -261,8 +261,11 @@ func (w *World) ownerEffects(v *VCPU, op Op, owner int) (sim.Cycles, error) {
 	case OpTimerProgram:
 		// The guest hypervisor emulates the timer with its own hrtimer,
 		// which it arms by programming its (virtual) LAPIC timer — a fresh
-		// trapping operation one level down.
+		// trapping operation one level down. That hrtimer now backs v's
+		// deadline, so a host timer still armed for v (a DVH virtual timer
+		// from before DisableAt) must not fire.
 		v.LAPIC.SetTSCDeadline(op.Deadline)
+		w.Host.Machine.Engine.Disarm(&v.timer)
 		return w.execAsLevel(v, owner, ProgramTimer(op.Deadline))
 	case OpSendIPI:
 		// The guest hypervisor resolves the destination among its own vCPUs,
@@ -326,7 +329,6 @@ func (w *World) hostHandle(v *VCPU, op Op) (sim.Cycles, error) {
 	case OpHypercall:
 		return 0, nil
 	case OpTimerProgram:
-		v.LAPIC.SetTSCDeadline(op.Deadline)
 		w.armHostTimer(v, op.Deadline)
 		stats.ChargeLevel(0, c.TimerProgramWork)
 		return c.TimerProgramWork, nil

@@ -1,6 +1,9 @@
 package hyper
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
 
 // This file holds the timer plumbing behind the pipeline: hrtimer arming for
 // host-emulated and DVH virtual timers, and the delivery-policy extension an
@@ -16,36 +19,51 @@ type TimerDeliveryPolicy interface {
 	DirectTimerDelivery(v *VCPU) bool
 }
 
-// armHostTimer schedules the hrtimer backing a LAPIC deadline, firing the
-// timer interrupt into the vCPU when simulated time reaches it. Timer
-// programming schedules engine events and is excluded from the steady-state
-// allocation contract (OpTimerProgram is not a steady op in alloc_test.go).
-//
-//nvlint:cold
+// armHostTimer writes deadline to v's LAPIC and moves the host hrtimer
+// backing it to that deadline; a zero deadline disarms both. The LAPIC
+// deadline and the engine timer change together, so an expiry fires only at
+// the deadline the guest last wrote (SDM: the timer fires when the TSC
+// reaches the last value written to IA32_TSC_DEADLINE).
 func (w *World) armHostTimer(v *VCPU, deadline uint64) {
+	v.LAPIC.SetTSCDeadline(deadline)
+	v.timerWorld = w
 	eng := w.Host.Machine.Engine
-	when := sim.Time(deadline)
-	if when < eng.Now() {
-		when = eng.Now()
+	if deadline == 0 {
+		eng.Disarm(&v.timer)
+		return
 	}
-	eng.ScheduleAt(when, func(*sim.Engine) {
-		if v.LAPIC.FireTimer() {
-			if _, err := w.DeliverTimerIRQ(v); err != nil {
-				// No Execute caller exists on an engine callback; park the
-				// failure where the run's driver must look for it.
-				w.setAsyncErr(err)
-			}
-		}
-	})
+	eng.Arm(&v.timer, sim.Time(deadline))
 }
 
-// ArmVirtualTimer schedules the host hrtimer backing a DVH virtual timer for
-// a nested vCPU; firing and wake behavior match the host's own timers. The
-// deadline is in host TSC units — the guest deadline plus the combined
-// TSC-offset chain.
+// expireTimer is v's engine-timer callback, bound once when the vCPU is
+// created: the timer interrupt is latched into the LAPIC and delivered
+// through the world that armed it. A vector still pending or in service
+// absorbs the expiry (counted as timer.coalesced) with nothing delivered.
+func (v *VCPU) expireTimer() {
+	w := v.timerWorld
+	if v.LAPIC.FireTimer() {
+		if _, err := w.DeliverTimerIRQ(v); err != nil {
+			// No Execute caller exists on an engine callback; park the
+			// failure where the run's driver must look for it.
+			w.setAsyncErr(err)
+		}
+		return
+	}
+	// FireTimer clears the deadline exactly when an unmasked timer expired,
+	// so a cleared deadline with nothing delivered is a coalesced vector.
+	if v.LAPIC.TSCDeadline() == 0 {
+		w.Host.Machine.Stats.Inc(trace.CounterTimerCoalesced, 1)
+	}
+}
+
+// ArmVirtualTimer writes the host deadline backing a DVH virtual timer for a
+// nested vCPU and arms the host hrtimer at it; firing and wake behavior match
+// the host's own timers. The deadline is in host TSC units — the guest
+// deadline plus the combined TSC-offset chain. A zero deadline disarms the
+// timer, as a snapshot restore of a vCPU with no timer pending does.
 func (w *World) ArmVirtualTimer(v *VCPU, deadline uint64) {
-	if w.Check != nil {
+	w.armHostTimer(v, deadline)
+	if w.Check != nil && deadline != 0 {
 		w.Check.TimerArmed(w, v, deadline)
 	}
-	w.armHostTimer(v, deadline)
 }

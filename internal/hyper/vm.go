@@ -6,6 +6,7 @@ import (
 	"repro/internal/apic"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/vmx"
 )
 
@@ -116,6 +117,12 @@ type VCPU struct {
 	// Idle marks a vCPU blocked in HLT.
 	Idle bool
 
+	// timer is the host hrtimer behind the LAPIC TSC deadline, armed on the
+	// machine's engine by World.armHostTimer; timerWorld is the world that
+	// last armed it, through which an expiry is delivered.
+	timer      sim.Timer
+	timerWorld *World
+
 	// stackCache memoizes World.stack for this vCPU — the hypervisor at
 	// each level beneath it — valid while stackGen matches the machine's
 	// TopoGen. The exit path consults it on every operation.
@@ -180,6 +187,7 @@ func (h *Hypervisor) CreateVM(cfg VMConfig) (*VM, error) {
 			v.PhysCPU = pin[i]
 		}
 		v.PID = apic.NewPIDescriptor(v.PhysCPU)
+		v.timer = sim.NewTimer(v.expireTimer)
 		h.initVMCS(v)
 		vm.VCPUs = append(vm.VCPUs, v)
 	}

@@ -1,170 +1,112 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "container/heap"
 
-// Event is a callback scheduled to run at a point on the simulated timeline.
-// The engine invokes it with the engine itself so handlers can schedule
-// follow-on events.
-type Event func(e *Engine)
-
-// EventID identifies a scheduled event so it can be cancelled. The zero value
-// never identifies a live event.
-type EventID uint64
-
-type scheduled struct {
-	when  Time
-	seq   uint64 // FIFO tiebreak for simultaneous events
-	id    EventID
-	fn    Event
-	index int // heap index; -1 when removed
+// Timer is one deadline on the engine's timeline: the hrtimer behind a
+// vCPU's LAPIC TSC deadline. It is embedded in its owner and bound to its
+// expiry callback once, when the owner is created, so arming, re-arming and
+// disarming move the timer inside the engine's heap without allocating. A
+// timer holds one deadline at a time: re-arming replaces it, so an
+// overwritten deadline can never fire. A Timer must not be copied while
+// armed.
+type Timer struct {
+	when Time
+	seq  uint64 // arm order: FIFO tiebreak between equal deadlines
+	slot int    // heap index + 1; 0 while disarmed
+	fire func()
 }
 
-type eventHeap []*scheduled
+// NewTimer returns a disarmed timer that calls fire when it expires.
+func NewTimer(fire func()) Timer { return Timer{fire: fire} }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+type timerHeap []*Timer
+
+func (h timerHeap) Len() int { return len(h) }
+func (h timerHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].slot = i + 1
+	h[j].slot = j + 1
 }
-func (h *eventHeap) Push(x any) {
-	s := x.(*scheduled)
-	s.index = len(*h)
-	*h = append(*h, s)
+func (h *timerHeap) Push(x any) {
+	t := x.(*Timer)
+	t.slot = len(*h) + 1
+	*h = append(*h, t)
 }
-func (h *eventHeap) Pop() any {
+func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)
-	s := old[n-1]
+	t := old[n-1]
 	old[n-1] = nil
-	s.index = -1
+	t.slot = 0
 	*h = old[:n-1]
-	return s
+	return t
 }
 
-// Engine is a deterministic discrete-event simulation kernel. Events fire in
-// timestamp order; events with equal timestamps fire in the order they were
-// scheduled. The engine is single-threaded by design: determinism matters more
-// to the experiments than host parallelism, and the paper's phenomena (exit
-// multiplication, interrupt latency) are properties of the simulated timeline,
-// not of host concurrency.
+// Engine is the deterministic simulation kernel: a clock and a min-heap of
+// armed timers keyed on (deadline, arm order). Timers fire in deadline
+// order; timers with equal deadlines fire in the order they were armed. The
+// engine is single-threaded by design: determinism matters more to the
+// experiments than host parallelism, and the paper's phenomena (exit
+// multiplication, interrupt latency) are properties of the simulated
+// timeline, not of host concurrency.
 type Engine struct {
-	clock   Clock
-	queue   eventHeap
-	nextSeq uint64
-	nextID  EventID
-	live    map[EventID]*scheduled
-	stopped bool
+	clock  Clock
+	timers timerHeap
+	seq    uint64
 }
 
-// NewEngine returns an engine with the clock at time zero.
-func NewEngine() *Engine {
-	return &Engine{live: make(map[EventID]*scheduled)}
-}
+// NewEngine returns an engine with the clock at time zero and no timers.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.clock.Now() }
 
-// Schedule arranges for fn to run after delay cycles and returns an ID that
-// can be passed to Cancel. A delay so large that now+delay would wrap the
-// unsigned timeline is clamped to the end of time instead of wrapping into
-// the past (which ScheduleAt would reject with a panic).
-func (e *Engine) Schedule(delay Cycles, fn Event) EventID {
-	now := e.clock.Now()
-	t := now + delay
-	if t < now { // unsigned overflow
-		t = ^Time(0)
+// Arm sets t to expire at when, replacing any deadline it held. A deadline
+// already in the past expires at the current time, on the next RunUntil.
+func (e *Engine) Arm(t *Timer, when Time) {
+	if now := e.clock.Now(); when < now {
+		when = now
 	}
-	return e.ScheduleAt(t, fn)
+	e.seq++
+	t.when, t.seq = when, e.seq
+	if t.slot != 0 {
+		heap.Fix(&e.timers, t.slot-1)
+		return
+	}
+	heap.Push(&e.timers, t)
 }
 
-// ScheduleAt arranges for fn to run at absolute time t. Scheduling in the past
-// is a programming error and panics.
-func (e *Engine) ScheduleAt(t Time, fn Event) EventID {
-	if fn == nil {
-		//nvlint:ignore nopanic simulation-kernel invariant; a nil event means the caller is broken, not the run
-		panic("sim: ScheduleAt with nil event")
+// Disarm removes t from the timeline; disarming a disarmed timer is a no-op.
+func (e *Engine) Disarm(t *Timer) {
+	if t.slot != 0 {
+		heap.Remove(&e.timers, t.slot-1)
 	}
-	if t < e.clock.Now() {
-		//nvlint:ignore nopanic simulation-kernel invariant; scheduling into the past would corrupt the timeline
-		panic(fmt.Sprintf("sim: event scheduled in the past: %d < %d", t, e.clock.Now()))
-	}
-	e.nextSeq++
-	e.nextID++
-	s := &scheduled{when: t, seq: e.nextSeq, id: e.nextID, fn: fn}
-	heap.Push(&e.queue, s)
-	e.live[s.id] = s
-	return s.id
 }
 
-// Cancel removes a scheduled event. It reports whether the event was still
-// pending; cancelling an already-fired or already-cancelled event is a no-op.
-func (e *Engine) Cancel(id EventID) bool {
-	s, ok := e.live[id]
-	if !ok {
-		return false
-	}
-	delete(e.live, id)
-	if s.index >= 0 {
-		heap.Remove(&e.queue, s.index)
-	}
-	return true
-}
+// Armed returns the number of timers waiting to expire.
+func (e *Engine) Armed() int { return len(e.timers) }
 
-// Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Stop makes the currently executing Run/RunUntil call return after the
-// in-flight event handler finishes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// step fires the earliest pending event. It reports false when the queue is
-// empty.
-func (e *Engine) step(limit Time, bounded bool) bool {
-	if len(e.queue) == 0 {
-		return false
-	}
-	next := e.queue[0]
-	if bounded && next.when > limit {
-		return false
-	}
-	heap.Pop(&e.queue)
-	delete(e.live, next.id)
-	e.clock.AdvanceTo(next.when)
-	next.fn(e)
-	return true
-}
-
-// Run drains the event queue, firing every event in order, and returns the
-// final simulated time. Use RunUntil for workloads that schedule events
-// indefinitely.
-func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.step(0, false) {
-	}
-	return e.clock.Now()
-}
-
-// RunUntil fires events until the queue is empty or the next event lies after
-// t, then advances the clock to exactly t. It returns the number of events
-// fired.
-func (e *Engine) RunUntil(t Time) int {
-	e.stopped = false
+// RunUntil expires, in order, every timer whose deadline is at or before
+// limit, advancing the clock to each deadline before calling its callback,
+// then advances the clock to limit. A timer is disarmed before its callback
+// runs, so the callback may re-arm it. It returns the number of timers that
+// expired.
+func (e *Engine) RunUntil(limit Time) int {
 	n := 0
-	for !e.stopped && e.step(t, true) {
+	for len(e.timers) > 0 && e.timers[0].when <= limit {
+		t := heap.Pop(&e.timers).(*Timer)
+		e.clock.AdvanceTo(t.when)
+		t.fire()
 		n++
 	}
-	if t > e.clock.Now() {
-		e.clock.AdvanceTo(t)
+	if limit > e.clock.Now() {
+		e.clock.AdvanceTo(limit)
 	}
 	return n
 }

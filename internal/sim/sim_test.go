@@ -79,15 +79,24 @@ func TestDurationRoundTripProperty(t *testing.T) {
 	}
 }
 
+// armAt arms a fresh timer whose expiry appends id to *order.
+func armAt(e *Engine, when Time, id int, order *[]int) *Timer {
+	t := NewTimer(func() { *order = append(*order, id) })
+	e.Arm(&t, when)
+	return &t
+}
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func(*Engine) { order = append(order, 3) })
-	e.Schedule(10, func(*Engine) { order = append(order, 1) })
-	e.Schedule(20, func(*Engine) { order = append(order, 2) })
-	end := e.Run()
-	if end != 30 {
-		t.Fatalf("final time %d, want 30", end)
+	armAt(e, 30, 3, &order)
+	armAt(e, 10, 1, &order)
+	armAt(e, 20, 2, &order)
+	if n := e.RunUntil(100); n != 3 {
+		t.Fatalf("RunUntil fired %d timers, want 3", n)
+	}
+	if e.Now() != 100 {
+		t.Fatalf("clock at %d, want 100", e.Now())
 	}
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("fire order %v, want [1 2 3]", order)
@@ -97,65 +106,72 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineFIFOAtSameTime(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func(*Engine) { order = append(order, i) })
+	timers := make([]*Timer, 10)
+	for i := range timers {
+		timers[i] = armAt(e, 5, i, &order)
 	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events fired out of order: %v", order)
+	// Re-arming at the same deadline moves a timer behind the others: the
+	// tiebreak is arm order, not creation order.
+	e.Arm(timers[0], 5)
+	e.RunUntil(5)
+	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 0}
+	if len(order) != len(want) {
+		t.Fatalf("equal deadlines fired as %v, want %v", order, want)
+	}
+	for i, v := range want {
+		if order[i] != v {
+			t.Fatalf("equal deadlines fired as %v, want %v", order, want)
 		}
 	}
 }
 
 func TestEngineCascade(t *testing.T) {
+	// A callback may re-arm its own timer: the timer is disarmed before the
+	// callback runs.
 	e := NewEngine()
 	count := 0
-	var tick Event
-	tick = func(en *Engine) {
+	var tick Timer
+	tick = NewTimer(func() {
 		count++
 		if count < 5 {
-			en.Schedule(100, tick)
+			e.Arm(&tick, e.Now()+100)
 		}
-	}
-	e.Schedule(100, tick)
-	end := e.Run()
+	})
+	e.Arm(&tick, 100)
+	e.RunUntil(10_000)
 	if count != 5 {
 		t.Fatalf("fired %d ticks, want 5", count)
 	}
-	if end != 500 {
-		t.Fatalf("final time %d, want 500", end)
+	if e.Armed() != 0 {
+		t.Fatalf("%d timers armed after the cascade ended, want 0", e.Armed())
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
+func TestEngineDisarm(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	id := e.Schedule(10, func(*Engine) { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel of pending event returned false")
+	var order []int
+	tm := armAt(e, 10, 1, &order)
+	e.Disarm(tm)
+	e.Disarm(tm) // disarming a disarmed timer is a no-op
+	e.RunUntil(100)
+	if len(order) != 0 {
+		t.Fatal("disarmed timer fired")
 	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel returned true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
+	if e.Armed() != 0 {
+		t.Fatalf("%d timers armed, want 0", e.Armed())
 	}
 }
 
-func TestEngineCancelMiddleOfHeap(t *testing.T) {
+func TestEngineDisarmMiddleOfHeap(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	var ids []EventID
+	var timers []*Timer
 	for i := 0; i < 8; i++ {
-		i := i
-		ids = append(ids, e.Schedule(Cycles(10+i), func(*Engine) { fired = append(fired, i) }))
+		timers = append(timers, armAt(e, Time(10+i), i, &fired))
 	}
-	e.Cancel(ids[3])
-	e.Cancel(ids[5])
-	e.Run()
+	e.Disarm(timers[3])
+	e.Disarm(timers[5])
+	e.RunUntil(100)
 	want := []int{0, 1, 2, 4, 6, 7}
 	if len(fired) != len(want) {
 		t.Fatalf("fired %v, want %v", fired, want)
@@ -169,78 +185,164 @@ func TestEngineCancelMiddleOfHeap(t *testing.T) {
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	var tick Event
-	tick = func(en *Engine) {
-		count++
-		en.Schedule(100, tick)
-	}
-	e.Schedule(100, tick)
-	n := e.RunUntil(1000)
-	if n != 10 {
-		t.Fatalf("fired %d events, want 10", n)
+	var order []int
+	armAt(e, 1000, 1, &order)
+	armAt(e, 1001, 2, &order)
+	if n := e.RunUntil(1000); n != 1 {
+		t.Fatalf("fired %d timers, want 1 (the deadline at the limit fires)", n)
 	}
 	if e.Now() != 1000 {
 		t.Fatalf("clock at %d, want exactly 1000", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("%d pending events, want 1", e.Pending())
+	if e.Armed() != 1 {
+		t.Fatalf("%d timers armed, want 1", e.Armed())
+	}
+	// A limit in the past fires nothing and leaves the clock alone.
+	if n := e.RunUntil(10); n != 0 || e.Now() != 1000 {
+		t.Fatalf("RunUntil(past) fired %d, clock %d", n, e.Now())
 	}
 }
 
-func TestEngineStop(t *testing.T) {
+func TestEngineArmPastFiresNow(t *testing.T) {
 	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Cycles(i+1), func(en *Engine) {
-			count++
-			if count == 3 {
-				en.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func(*Engine) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ScheduleAt in the past did not panic")
-		}
-	}()
-	e.ScheduleAt(5, func(*Engine) {})
-}
-
-func TestScheduleHugeDelayClamps(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func(*Engine) {})
-	e.Run() // clock now at 10; now+delay below would wrap without the clamp
-	fired := false
-	e.Schedule(^Cycles(0), func(*Engine) { fired = true })
-	if got := e.Run(); got != ^Time(0) {
-		t.Fatalf("clamped event fired at %d, want end of timeline", got)
-	}
-	if !fired {
-		t.Fatal("clamped event never fired")
-	}
-}
-
-func TestScheduleNoOverflowUnchanged(t *testing.T) {
-	// Ordinary delays must be unaffected by the overflow clamp.
-	e := NewEngine()
-	e.Schedule(3, func(*Engine) {})
-	e.Run()
+	e.RunUntil(500)
 	var at Time
-	e.Schedule(7, func(e *Engine) { at = e.Now() })
-	e.Run()
-	if at != 10 {
-		t.Fatalf("event fired at %d, want 10", at)
+	tm := NewTimer(func() { at = e.Now() })
+	e.Arm(&tm, 100)
+	if n := e.RunUntil(500); n != 1 || at != 500 {
+		t.Fatalf("past deadline: fired %d at %d, want 1 at 500", n, at)
+	}
+}
+
+func TestEngineArmEndOfTimeline(t *testing.T) {
+	// The largest deadline is an ordinary one: it fires when the clock
+	// reaches the end of the timeline and not before.
+	e := NewEngine()
+	fired := false
+	tm := NewTimer(func() { fired = true })
+	e.Arm(&tm, ^Time(0))
+	e.RunUntil(^Time(0) - 1)
+	if fired {
+		t.Fatal("end-of-timeline deadline fired early")
+	}
+	if n := e.RunUntil(^Time(0)); n != 1 || !fired || e.Now() != ^Time(0) {
+		t.Fatalf("end-of-timeline deadline: fired %d, clock %d", n, e.Now())
+	}
+}
+
+// TestEngineMatchesReference drives random arm, re-arm, disarm and RunUntil
+// sequences over a few timers and checks every expiry against a brute-force
+// model: each timer holds at most its last-armed deadline, and RunUntil fires
+// the due ones by (deadline, arm order).
+func TestEngineMatchesReference(t *testing.T) {
+	type ref struct {
+		armed     bool
+		when, seq uint64
+	}
+	type fire struct {
+		id int
+		at Time
+	}
+	f := func(seed uint64) bool {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		const n = 5
+		var got []fire
+		timers := make([]Timer, n)
+		for i := range timers {
+			i := i
+			timers[i] = NewTimer(func() { got = append(got, fire{i, e.Now()}) })
+		}
+		var model [n]ref
+		var now, seq uint64
+		for step := 0; step < 200; step++ {
+			id := rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0, 1: // arm or re-arm, sometimes in the past
+				when := now + uint64(rng.Intn(200))
+				if rng.Intn(8) == 0 && now > 0 {
+					when = now - 1
+				}
+				e.Arm(&timers[id], Time(when))
+				seq++
+				if when < now {
+					when = now
+				}
+				model[id] = ref{true, when, seq}
+			case 2:
+				e.Disarm(&timers[id])
+				model[id].armed = false
+			case 3:
+				limit := now + uint64(rng.Intn(150))
+				got = got[:0]
+				e.RunUntil(Time(limit))
+				var want []fire
+				for {
+					best := -1
+					for j := range model {
+						m := model[j]
+						if !m.armed || m.when > limit {
+							continue
+						}
+						if best < 0 || m.when < model[best].when ||
+							(m.when == model[best].when && m.seq < model[best].seq) {
+							best = j
+						}
+					}
+					if best < 0 {
+						break
+					}
+					want = append(want, fire{best, Time(model[best].when)})
+					model[best].armed = false
+				}
+				if limit > now {
+					now = limit
+				}
+				if len(got) != len(want) {
+					t.Logf("seed %d step %d: fired %v, want %v", seed, step, got, want)
+					return false
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Logf("seed %d step %d: fired %v, want %v", seed, step, got, want)
+						return false
+					}
+				}
+			}
+			armed := 0
+			for _, m := range model {
+				if m.armed {
+					armed++
+				}
+			}
+			if e.Armed() != armed || uint64(e.Now()) != now {
+				t.Logf("seed %d step %d: engine armed=%d now=%d, model armed=%d now=%d", seed, step, e.Armed(), e.Now(), armed, now)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEngineArmFireAllocFree(t *testing.T) {
+	e := NewEngine()
+	timers := make([]Timer, 4)
+	for i := range timers {
+		timers[i] = NewTimer(func() {})
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range timers {
+			e.Arm(&timers[i], e.Now()+Time(10+i))
+		}
+		e.Arm(&timers[0], e.Now()+50) // re-arm in place
+		e.Disarm(&timers[1])
+		e.RunUntil(e.Now() + 100)
+	})
+	if allocs != 0 {
+		t.Fatalf("arm, re-arm, disarm and fire allocate %.1f times per round, want 0", allocs)
 	}
 }
 

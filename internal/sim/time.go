@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-event simulation core used
-// by every other subsystem: a virtual clock measured in CPU cycles, an event
-// queue with stable FIFO ordering for simultaneous events, cycle accounting,
-// and a seedable random number generator.
+// by every other subsystem: a virtual clock measured in CPU cycles, an engine
+// that expires per-vCPU deadline timers in (deadline, arm order), cycle
+// accounting, and a seedable random number generator.
 //
 // All simulated time is expressed in cycles of the simulated platform clock
 // (2.2 GHz for the CloudLab configuration the paper uses). Using cycles rather

@@ -38,6 +38,7 @@ const (
 	CounterIRQDelivered
 	CounterPassthroughKicks
 	CounterSchedSwitches
+	CounterTimerCoalesced
 	CounterVirtioKicks
 	CounterXenEvtchnIPIs
 	// NumCounters sizes the per-counter tables.
@@ -56,6 +57,7 @@ var counterNames = [NumCounters]string{
 	CounterIRQDelivered:                "irq.delivered",
 	CounterPassthroughKicks:            "passthrough.kicks",
 	CounterSchedSwitches:               "sched.switches",
+	CounterTimerCoalesced:              "timer.coalesced",
 	CounterVirtioKicks:                 "virtio.kicks",
 	CounterXenEvtchnIPIs:               "xen.evtchn_ipis",
 }

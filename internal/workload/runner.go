@@ -73,6 +73,12 @@ func (c OpClass) String() string {
 // workJitterPermille bounds the ± work variation applied per transaction.
 const workJitterPermille = 30
 
+// GuestHZ is the guest kernel's tick rate. The guest is a tickless Linux
+// (CONFIG_HZ=250): each timer program a transaction issues writes the next
+// tick boundary as the TSC deadline, so in a timed run (RunFor) a vCPU that
+// programs timers takes one timer interrupt per tick.
+const GuestHZ = 250
+
 // Result summarizes a run.
 type Result struct {
 	Profile Profile
@@ -196,6 +202,9 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 			driving = len(vcpus)
 		}
 		v := vcpus[i%driving]
+		// The vCPU accepts its highest deliverable interrupt before running
+		// the transaction; the profile's EOI writes below retire it.
+		v.LAPIC.Ack()
 		work := p.WorkCycles
 		if r.RNG != nil {
 			span := work * workJitterPermille / 1000
@@ -221,7 +230,7 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 			res.Breakdown[OpClassRX] += c
 		}
 		for k := timers.take(p.Timers); k > 0; k-- {
-			c, err := r.W.Execute(v, hyper.ProgramTimer(uint64(r.W.Host.Machine.Engine.Now())+1_000_000))
+			c, err := r.W.Execute(v, hyper.ProgramTimer(r.nextTick()))
 			if err != nil {
 				return 0, err
 			}
@@ -256,6 +265,9 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 			}
 			total += c
 			res.Breakdown[OpClassEOI] += c
+			// The EOI lowers the processor priority; the vCPU takes the next
+			// deliverable interrupt, if any, straight away.
+			v.LAPIC.Ack()
 		}
 		for k := blk.take(p.BlkOps); k > 0; k-- {
 			c, err := r.W.Execute(v, hyper.DevNotify(r.Blk.Doorbell))
@@ -278,6 +290,14 @@ func (r *Runner) transaction(st *runState, i int) (sim.Cycles, error) {
 		cpu.Busy += total - txnStart
 		return total - txnStart, nil
 	}
+}
+
+// nextTick returns the first guest tick boundary after the current engine
+// time, in TSC cycles.
+func (r *Runner) nextTick() uint64 {
+	m := r.W.Host.Machine
+	period := m.ClockHz / GuestHZ
+	return (uint64(m.Engine.Now())/period + 1) * period
 }
 
 // Utilization reports each physical CPU's busy cycles accumulated by runs on

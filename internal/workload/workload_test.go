@@ -306,30 +306,55 @@ func TestJitterSeededDeterminism(t *testing.T) {
 }
 
 func TestRunForAdvancesTimeAndFiresTimers(t *testing.T) {
-	w, vm, net, blk := buildL2(t, core.FeaturesAll)
-	eng := w.Host.Machine.Engine
-	start := eng.Now()
-	p, _ := ProfileByName("Netperf RR")
+	// Every timer program writes the next guest tick boundary, so at L2 with
+	// DVH each vCPU that programs timers takes exactly one direct timer
+	// interrupt per tick boundary the run crosses, and accepting interrupts
+	// (with the profile's EOIs retiring them) leaves none to coalesce.
+	// timerVCPUs counts the driven vCPUs that program timers at all:
+	// Hackbench's 0.5/txn rate lands on every other transaction of the
+	// round-robin over its 4 vCPUs, so only vCPUs 1 and 3 program.
+	cases := []struct {
+		profile    string
+		timerVCPUs uint64
+	}{
+		{"Netperf RR", 1},
+		{"Netperf STREAM", 1},
+		{"Netperf MAERTS", 1},
+		{"Apache", 4},
+		{"Memcached", 4},
+		{"MySQL", 4},
+		{"Hackbench", 2},
+	}
 	const span = 50_000_000 // ~23ms of simulated time
-	res, err := (&Runner{W: w, VM: vm, Net: net, Blk: blk, P: p}).RunFor(span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Now() < start+span {
-		t.Fatalf("engine advanced only to %v", eng.Now())
-	}
-	if res.Transactions == 0 {
-		t.Fatal("no transactions completed")
-	}
-	// The profile arms timers; with the clock advancing they must fire and
-	// be delivered directly (DVH direct timer delivery).
-	if w.Host.Machine.Stats.Count(trace.CounterDVHVTimerDirectDeliveries) == 0 {
-		t.Fatal("no timer interrupts fired during the timed run")
-	}
-	// Throughput consistency: transactions * cycles/txn ≈ span.
-	approx := res.CyclesPerTxn * float64(res.Transactions)
-	if approx < 0.9*span || approx > 1.1*float64(span)+res.CyclesPerTxn {
-		t.Fatalf("accounted cycles %.0f inconsistent with span %d", approx, span)
+	for _, tc := range cases {
+		w, vm, net, blk := buildL2(t, core.FeaturesAll)
+		m := w.Host.Machine
+		start := m.Engine.Now()
+		p, _ := ProfileByName(tc.profile)
+		res, err := (&Runner{W: w, VM: vm, Net: net, Blk: blk, P: p}).RunFor(span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := m.Engine.Now()
+		if end < start+span {
+			t.Fatalf("%s: engine advanced only to %v", tc.profile, end)
+		}
+		if res.Transactions == 0 {
+			t.Fatalf("%s: no transactions completed", tc.profile)
+		}
+		period := m.ClockHz / GuestHZ
+		ticks := uint64(end)/period - uint64(start)/period
+		if got, want := m.Stats.Count(trace.CounterDVHVTimerDirectDeliveries), ticks*tc.timerVCPUs; got != want {
+			t.Errorf("%s: %d direct timer deliveries, want %d (%d tick boundaries x %d vCPUs)", tc.profile, got, want, ticks, tc.timerVCPUs)
+		}
+		if got := m.Stats.Count(trace.CounterTimerCoalesced); got != 0 {
+			t.Errorf("%s: %d timer expiries coalesced into an unaccepted vector, want 0", tc.profile, got)
+		}
+		// Throughput consistency: transactions * cycles/txn ≈ span.
+		approx := res.CyclesPerTxn * float64(res.Transactions)
+		if approx < 0.9*span || approx > 1.1*float64(span)+res.CyclesPerTxn {
+			t.Fatalf("%s: accounted cycles %.0f inconsistent with span %d", tc.profile, approx, span)
+		}
 	}
 }
 
